@@ -59,7 +59,6 @@ from .ideals import (
     GeneratorMatrix,
     MonomialIdeal,
     component_ideal,
-    contains,
     count_vector,
     counts_to_matrix,
     generator_counts,

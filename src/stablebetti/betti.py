@@ -66,12 +66,7 @@ def ek_betti(I: MonomialIdeal) -> BettiTable:
         raise NotStableError(
             "the closed formula needs a stable ideal; use oracle_betti for arbitrary input"
         )
-    entries = {}
-    for (k, d), c in counts.items():
-        for i in range(0, k):
-            key = (i, i + d)
-            entries[key] = entries.get(key, 0) + binom(k - 1, i) * c
-    return BettiTable(I.n, entries)
+    return betti_from_counts(counts, I.n)
 
 
 def counts_from_betti(T: BettiTable) -> dict:
@@ -129,13 +124,18 @@ def extremal_corners(T: BettiTable) -> list:
     return [(i, d, T.beta(i, i + d)) for (i, d) in _maximal_positions(positions)]
 
 
-def extremal_from_stable(I: MonomialIdeal) -> list:
-    """Extremal corners of a stable ideal straight from its generator
-    counts: (i, d) is extremal iff (i+1, d) is a maximal nonzero count
-    position, and then the value is m_{i+1,d}."""
-    counts = generator_counts(I)
+def corners_from_counts(counts: dict) -> list:
+    """Extremal corners of a stable ideal with generator counts m_{k,d}:
+    (i, d) is extremal iff (i+1, d) is a maximal nonzero count position,
+    and then the value is m_{i+1,d}."""
     positions = [(k - 1, d) for (k, d) in counts]
     return [(i, d, counts[(i + 1, d)]) for (i, d) in _maximal_positions(positions)]
+
+
+def extremal_from_stable(I: MonomialIdeal) -> list:
+    """Extremal corners of a stable ideal straight from its generator
+    counts."""
+    return corners_from_counts(generator_counts(I))
 
 
 def _grid(entries, columns, dmin, dmax):

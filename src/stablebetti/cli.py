@@ -23,6 +23,7 @@ from .constructions import (
 )
 from .enumeration import (
     DEFAULT_BUDGET,
+    count_strongly_stable,
     enumerate_strongly_stable,
     search_extremal_profile,
     search_matrix,
@@ -86,12 +87,11 @@ def _cmd_macaulay(args):
 
 def _cmd_betti(args):
     I = parse_ideal_text(_read(args.ideal_file))
-    budget = args.budget or DEFAULT_MULTIDEGREE_BUDGET
     tables = {}
     if args.method in ("ek", "both"):
         tables["ek"] = ek_betti(I)
     if args.method in ("oracle", "both"):
-        tables["oracle"] = oracle_betti(I, budget=budget)
+        tables["oracle"] = oracle_betti(I, budget=args.budget)
     if args.method == "both" and tables["ek"] != tables["oracle"]:
         print("MISMATCH between the closed formula and the homology oracle", file=sys.stderr)
         for name, tbl in tables.items():
@@ -179,7 +179,7 @@ def _search_confirmation(profile, budget):
     j1 = profile.triples[0][1]
     if profile.n > 4 or j1 > 5:
         return "search confirmation only offered for n <= 4 and corner degrees <= 5"
-    outcome = search_extremal_profile(profile, j1, budget=budget or DEFAULT_BUDGET)
+    outcome = search_extremal_profile(profile, j1, budget=budget)
     if outcome.found is None:
         return (
             f"confirmed by exhaustive search: no strongly stable ideal within "
@@ -233,12 +233,11 @@ def _cmd_extremal(args):
 
 
 def _cmd_enumerate(args):
-    stream = enumerate_strongly_stable(args.n, args.dmax, budget=args.budget)
     if args.count_only:
-        print(sum(1 for _ in stream))
+        print(count_strongly_stable(args.n, args.dmax, budget=args.budget))
         return 0
     first = True
-    for ideal in stream:
+    for ideal in enumerate_strongly_stable(args.n, args.dmax, budget=args.budget):
         if not first:
             print()
         print(format_ideal(ideal), end="")
@@ -247,14 +246,13 @@ def _cmd_enumerate(args):
 
 
 def _cmd_search(args):
-    budget = args.budget or DEFAULT_BUDGET
     if args.target == "matrix":
         M = parse_matrix_text(_read(args.matrix_file))
-        outcome = search_matrix(M, dmax=args.dmax, budget=budget)
+        outcome = search_matrix(M, dmax=args.dmax, budget=args.budget)
     else:
         profile = parse_profile(args.profile, args.n)
         dmax = args.dmax if args.dmax is not None else profile.triples[0][1]
-        outcome = search_extremal_profile(profile, dmax, budget=budget)
+        outcome = search_extremal_profile(profile, dmax, budget=args.budget)
     if outcome.ok:
         print(format_ideal(outcome.found), end="")
         return 0
@@ -264,8 +262,7 @@ def _cmd_search(args):
 
 
 def _cmd_verify_paper(args):
-    budget = args.budget or 2 * 10**6
-    results = run_fixtures(budget=budget)
+    results = run_fixtures(budget=args.budget)
     if args.json:
         print(
             json.dumps(
@@ -291,8 +288,8 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_budget(q):
-        q.add_argument("--budget", type=int, default=None, help="override the resource budget")
+    def add_budget(q, default):
+        q.add_argument("--budget", type=int, default=default, help="resource budget; 0 allows nothing")
 
     p = sub.add_parser("macaulay", help="representations, shifts, O-sequence tests")
     msub = p.add_subparsers(dest="what", required=True)
@@ -317,7 +314,7 @@ def build_parser():
     p.add_argument("--method", choices=["ek", "oracle", "both"], default="ek")
     p.add_argument("--quotient", action="store_true", help="render in the quotient convention")
     p.add_argument("--json", action="store_true")
-    add_budget(p)
+    add_budget(p, DEFAULT_MULTIDEGREE_BUDGET)
     p.set_defaults(func=_cmd_betti)
 
     p = sub.add_parser("matrix", help="matrix of generators of a strongly stable ideal")
@@ -369,14 +366,14 @@ def build_parser():
             action="store_true",
             help="confirm an infeasible verdict by exhaustive search (desk scale)",
         )
-        add_budget(q)
+        add_budget(q, DEFAULT_BUDGET)
         q.set_defaults(func=_cmd_extremal)
 
     p = sub.add_parser("enumerate", help="stream all strongly stable ideals within bounds")
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--dmax", type=int, required=True)
     p.add_argument("--count-only", action="store_true")
-    add_budget(p)
+    add_budget(p, None)  # None keeps the enumeration's default caps
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("search", help="search for an ideal matching a matrix or profile")
@@ -384,18 +381,18 @@ def build_parser():
     q = ssub.add_parser("matrix")
     q.add_argument("matrix_file")
     q.add_argument("--dmax", type=int, default=None)
-    add_budget(q)
+    add_budget(q, DEFAULT_BUDGET)
     q.set_defaults(func=_cmd_search)
     q = ssub.add_parser("profile")
     q.add_argument("--profile", required=True)
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--dmax", type=int, default=None)
-    add_budget(q)
+    add_budget(q, DEFAULT_BUDGET)
     q.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("verify-paper", help="replay the built-in reference fixtures")
     p.add_argument("--json", action="store_true")
-    add_budget(p)
+    add_budget(p, DEFAULT_BUDGET)
     p.set_defaults(func=_cmd_verify_paper)
 
     return parser

@@ -12,9 +12,11 @@ from .ideals import (
     GeneratorMatrix,
     MonomialIdeal,
     is_strongly_stable,
+    matrix_to_counts,
     minimalize,
+    unstable_generator,
 )
-from .macaulay import binom, is_o_sequence, macaulay_rep
+from .macaulay import binom, cumsum, is_o_sequence, macaulay_rep
 from .monomials import (
     class_size,
     deglex_key,
@@ -236,17 +238,14 @@ class MatrixCheck:
 def _cumulative_items(M: GeneratorMatrix):
     items = []
     for j in range(M.jmin, M.jmin + len(M.rows)):
-        row, prev = M.row(j), M.row(j - 1)
-        acc = 0
-        for i in range(1, M.n + 1):
-            acc += prev[i - 1]
-            if row[i - 1] < acc:
+        for i, (mu, acc) in enumerate(zip(M.row(j), cumsum(M.row(j - 1))), 1):
+            if mu < acc:
                 items.append(
                     MatrixCheckItem(
                         j,
                         "cumulative",
                         False,
-                        f"mu_{{{i},{j}}} = {row[i - 1]} < {acc} = sum of previous row up to {i}",
+                        f"mu_{{{i},{j}}} = {mu} < {acc} = sum of previous row up to {i}",
                     )
                 )
                 break
@@ -334,13 +333,11 @@ def realize_matrix_greedy(M: GeneratorMatrix) -> GreedyResult:
     if not ss:
         # cannot happen after the checks above; guard anyway
         return GreedyResult(None, jmin, None, "first row does not give a strongly stable ideal")
+    needs = matrix_to_counts(canon)
     for j in range(jmin + 1, canon.jmax + 1):
-        row, prev = canon.row(j), canon.row(j - 1)
-        acc = 0
         new_gens = []
         for i in range(1, n + 1):
-            acc += prev[i - 1]
-            need = row[i - 1] - acc
+            need = needs.get((i, j), 0)
             if need == 0:
                 continue
             picked = []
@@ -358,23 +355,11 @@ def realize_matrix_greedy(M: GeneratorMatrix) -> GreedyResult:
             new_gens.extend(picked)
         if new_gens:
             ideal = minimalize(n, list(ideal.gens) + new_gens)
-        if not is_strongly_stable(ideal):
-            bad = _first_unstable_class(ideal)
+        witness = unstable_generator(ideal)
+        if witness is not None:
+            bad = max_index(witness)
             return GreedyResult(
                 None, j, bad,
                 f"greedy extension breaks strong stability at degree {j} (class {bad})",
             )
     return GreedyResult(ideal)
-
-
-def _first_unstable_class(I: MonomialIdeal):
-    from .monomials import swap_variable
-
-    for g in I.gens:
-        for j in range(2, I.n + 1):
-            if g[j - 1] == 0:
-                continue
-            for i in range(1, j):
-                if not I.contains(swap_variable(g, j, i)):
-                    return max_index(g)
-    return None

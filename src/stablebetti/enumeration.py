@@ -19,9 +19,9 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .betti import _maximal_positions
+from .betti import corners_from_counts
 from .errors import BudgetExceededError, DomainError
-from .ideals import GeneratorMatrix, MonomialIdeal, generator_matrix
+from .ideals import GeneratorMatrix, MonomialIdeal, class_degree_counts, generator_matrix
 from .monomials import deglex_key, enumerate_degree, max_index
 
 DEFAULT_ENUM_N = 4
@@ -368,15 +368,7 @@ def search_extremal_profile(profile, dmax, budget=DEFAULT_BUDGET) -> SearchOutco
                 f"profile search exceeded the budget of {budget} candidates",
                 partial_count=examined - 1,
             )
-        counts = {}
-        for g in gens:
-            key = (max_index(g), sum(g))
-            counts[key] = counts.get(key, 0) + 1
-        positions = [(k - 1, d) for (k, d) in counts]
-        corners = tuple(
-            (i, d, counts[(i + 1, d)]) for (i, d) in _maximal_positions(positions)
-        )
-        if corners == target:
+        if tuple(corners_from_counts(class_degree_counts(gens))) == target:
             hit.append(MonomialIdeal(profile.n, gens))
             return True
         return False

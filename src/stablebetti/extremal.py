@@ -12,9 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .betti import extremal_corners, extremal_from_stable, ek_betti
+from .betti import extremal_corners, extremal_from_stable
 from .constructions import subring_lexsegment_ideal
-from .errors import DomainError, InfeasibleProfileError
+from .errors import DomainError, InfeasibleProfileError, StableBettiError
 from .ideals import MonomialIdeal, graded_component, ideal_sum, is_stable
 from .macaulay import binom, iterated_cumsum_last, macaulay_shift
 from .monomials import max_index
@@ -192,7 +192,11 @@ def nested_lex_ideal(profile: ExtremalProfile) -> MonomialIdeal:
             for u in graded_component(ideal, j_p)
             if max_index(u) == i_p + 1
         )
-        assert present == forced[p], (profile, p, present, forced[p])
+        if present != forced[p]:
+            raise StableBettiError(
+                f"the witness breaks the forced count at corner p={p}: "
+                f"{present} top-class monomials present, forced_counts gives {forced[p]}"
+            )
         ideal = ideal_sum(
             ideal, subring_lexsegment_ideal(i_p + 1, present + b_p, j_p, profile.n)
         )
@@ -209,10 +213,3 @@ def verify_profile(I: MonomialIdeal, profile: ExtremalProfile) -> bool:
     else:
         corners = extremal_corners(oracle_betti(I))
     return tuple(corners) == profile.triples
-
-
-def corners_via_table(I: MonomialIdeal) -> list:
-    """Extremal corners computed through the full Betti table (closed
-    formula when stable, homology otherwise)."""
-    table = ek_betti(I) if is_stable(I) else oracle_betti(I)
-    return extremal_corners(table)

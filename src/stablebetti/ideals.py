@@ -20,7 +20,7 @@ from .monomials import (
     mul,
     swap_variable,
 )
-from .macaulay import binom
+from .macaulay import binom, cumsum
 
 
 class MonomialIdeal:
@@ -46,9 +46,10 @@ class MonomialIdeal:
                 raise DomainError("negative exponent")
             if not any(g):
                 raise UnitIdealError("the monomial 1 generates the unit ideal")
-        for a in gens:
-            for b in gens:
-                if a is not b and divides(a, b):
+        # a proper divisor has lower degree, so it sorts after its multiple
+        for t, b in enumerate(gens):
+            for a in gens[t + 1:]:
+                if divides(a, b):
                     raise DomainError("generating set is not minimal; use minimalize()")
         self.n = n
         self.gens = gens
@@ -97,10 +98,6 @@ def minimalize(n, raw) -> MonomialIdeal:
         if not any(divides(h, g) for h in kept):
             kept.append(g)
     return MonomialIdeal(n, kept)
-
-
-def contains(I: MonomialIdeal, u) -> bool:
-    return I.contains(u)
 
 
 def ideal_sum(*ideals) -> MonomialIdeal:
@@ -158,17 +155,24 @@ def is_stable(I: MonomialIdeal) -> bool:
     return True
 
 
-def is_strongly_stable(I: MonomialIdeal) -> bool:
-    """Each generator admits every exchange (u / x_j) x_i for x_j | u and
-    i < j inside the ideal."""
+def unstable_generator(I: MonomialIdeal):
+    """First generator u (deglex descending) with an exchange
+    (u / x_j) x_i, x_j | u and i < j, outside the ideal; None when there
+    is none."""
     for g in I.gens:
         for j in range(2, I.n + 1):
             if g[j - 1] == 0:
                 continue
             for i in range(1, j):
                 if not I.contains(swap_variable(g, j, i)):
-                    return False
-    return True
+                    return g
+    return None
+
+
+def is_strongly_stable(I: MonomialIdeal) -> bool:
+    """Each generator admits every exchange (u / x_j) x_i for x_j | u and
+    i < j inside the ideal."""
+    return unstable_generator(I) is None
 
 
 def is_lexsegment(I: MonomialIdeal) -> bool:
@@ -203,19 +207,24 @@ def is_piecewise_lex_up_to(I: MonomialIdeal, ell: int) -> bool:
     return True
 
 
-def generator_counts(I: MonomialIdeal, *, require_stable: bool = True) -> dict:
-    """Map (i, d) -> number of minimal generators of degree d with max
-    index i.  The checked entry point demands stability, which is where
-    these counts feed the Betti formula; pass require_stable=False to
-    count on an arbitrary monomial ideal.
-    """
-    if require_stable and not is_stable(I):
-        raise NotStableError("ideal is not stable; pass require_stable=False to count anyway")
+def class_degree_counts(gens) -> dict:
+    """Map (i, d) -> number of the given monomials of degree d with max
+    index i."""
     counts = {}
-    for g in I.gens:
+    for g in gens:
         key = (max_index(g), sum(g))
         counts[key] = counts.get(key, 0) + 1
     return counts
+
+
+def generator_counts(I: MonomialIdeal) -> dict:
+    """Map (i, d) -> number of minimal generators of degree d with max
+    index i.  Demands stability, which is where these counts feed the
+    Betti formula; class_degree_counts(I.gens) counts on any ideal.
+    """
+    if not is_stable(I):
+        raise NotStableError("ideal is not stable; class_degree_counts counts anyway")
+    return class_degree_counts(I.gens)
 
 
 def count_vector(I: MonomialIdeal) -> tuple:
@@ -264,11 +273,7 @@ class GeneratorMatrix:
             return tuple(self.rows[j - self.jmin])
         cur = tuple(self.rows[-1])
         for _ in range(j - self.jmax):
-            acc, nxt = 0, []
-            for x in cur:
-                acc += x
-                nxt.append(acc)
-            cur = tuple(nxt)
+            cur = cumsum(cur)
         return cur
 
     def canonical(self) -> "GeneratorMatrix":
@@ -279,16 +284,8 @@ class GeneratorMatrix:
         while rows and not any(rows[0]):
             rows.pop(0)
             jmin += 1
-        while len(rows) >= 2:
-            prev = rows[-2]
-            acc, implied = 0, []
-            for x in prev:
-                acc += x
-                implied.append(acc)
-            if rows[-1] == tuple(implied):
-                rows.pop()
-            else:
-                break
+        while len(rows) >= 2 and rows[-1] == cumsum(rows[-2]):
+            rows.pop()
         if not rows:
             return GeneratorMatrix(self.n, 1, ())
         return GeneratorMatrix(self.n, jmin, tuple(rows))
@@ -327,18 +324,14 @@ def matrix_to_counts(M: GeneratorMatrix) -> dict:
     negative (the cumulative inequality fails)."""
     counts = {}
     for j in range(M.jmin, M.jmin + len(M.rows)):
-        row, prev = M.row(j), M.row(j - 1)
-        acc = 0
-        for i in range(1, M.n + 1):
-            acc += prev[i - 1]
-            m = row[i - 1] - acc
-            if m < 0:
+        for i, (mu, acc) in enumerate(zip(M.row(j), cumsum(M.row(j - 1))), 1):
+            if mu < acc:
                 raise DomainError(
                     f"cumulative inequality fails at (i={i}, j={j}): "
-                    f"mu={row[i - 1]} < running sum {acc}"
+                    f"mu={mu} < running sum {acc}"
                 )
-            if m:
-                counts[(i, j)] = m
+            if mu > acc:
+                counts[(i, j)] = mu - acc
     return counts
 
 
@@ -356,15 +349,10 @@ def counts_to_matrix(counts: dict, n: int) -> GeneratorMatrix:
     degs = [j for (_, j), c in counts.items() if c]
     jmin, jmax = min(degs), max(degs)
     rows = []
-    prev = (0,) * n
+    row = (0,) * n
     for j in range(jmin, jmax + 1):
-        acc = 0
-        row = []
-        for i in range(1, n + 1):
-            acc += prev[i - 1]
-            row.append(counts.get((i, j), 0) + acc)
-        rows.append(tuple(row))
-        prev = tuple(row)
+        row = tuple(counts.get((i, j), 0) + acc for i, acc in enumerate(cumsum(row), 1))
+        rows.append(row)
     return GeneratorMatrix(n, jmin, tuple(rows))
 
 

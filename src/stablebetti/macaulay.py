@@ -13,7 +13,7 @@ from functools import lru_cache
 from itertools import accumulate
 from math import comb
 
-from .errors import DomainError
+from .errors import DomainError, StableBettiError
 
 
 def binom(p: int, q: int) -> int:
@@ -76,7 +76,11 @@ def macaulay_rep(a: int, d: int) -> MacaulayRep:
         ks.append(k)
         rem -= binom(k, i)
         cap = k - 1
-    assert rem == 0
+    if rem:
+        raise StableBettiError(
+            f"the greedy {d}-th Macaulay representation of {a} does not sum to it "
+            f"(remainder {rem})"
+        )
     return MacaulayRep(a, d, tuple(ks))
 
 
@@ -131,20 +135,9 @@ def is_o_sequence(m) -> bool:
     return True
 
 
-def is_o_sequence_from_zero(h) -> bool:
-    """O-sequence test for sequences indexed from 0 (Hilbert-function
-    style): h_0 = 1 and h_{d+1} <= h_d^<d> for all d >= 1."""
-    h = tuple(h)
-    if not h:
-        raise DomainError("empty sequence")
-    if any(x < 0 for x in h):
-        raise DomainError("entries must be nonnegative")
-    if h[0] != 1:
-        return False
-    for d in range(1, len(h) - 1):
-        if h[d + 1] > macaulay_shift(h[d], d, 1):
-            return False
-    return True
+# For a sequence indexed from 0 (Hilbert-function style), h_0 = 1 and
+# h_{d+1} <= h_d^<d> for d >= 1 is is_o_sequence's test term for term.
+is_o_sequence_from_zero = is_o_sequence
 
 
 def cumsum(v) -> tuple:
@@ -167,5 +160,5 @@ def iterated_cumsum_last(v, q: int) -> int:
     if not w:
         raise DomainError("empty vector")
     for _ in range(q):
-        w = tuple(accumulate(w))
+        w = cumsum(w)
     return w[-1]

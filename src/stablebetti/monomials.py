@@ -13,14 +13,6 @@ Monomial = tuple
 DEGREE_CAP = 64
 
 
-def degree(u):
-    return sum(u)
-
-
-def unit(n):
-    return (0,) * n
-
-
 def max_index(u) -> int:
     """Largest 1-based variable index dividing u; 0 for the monomial 1."""
     for t in range(len(u) - 1, -1, -1):
@@ -48,10 +40,6 @@ def divides(g, u) -> bool:
 
 def mul(u, v):
     return tuple(a + b for a, b in zip(u, v))
-
-
-def lcm(u, v):
-    return tuple(max(a, b) for a, b in zip(u, v))
 
 
 def swap_variable(u, j, i):

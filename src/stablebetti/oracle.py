@@ -41,21 +41,28 @@ class SimplicialComplexSmall:
         return max((len(f) for f in self.faces), default=0) - 1
 
 
+def _koszul_faces(b, inside) -> list:
+    """Squarefree subsets tau of the support of b, as sets of 1-based
+    variable indices, with inside(x^b / x^tau) true."""
+    supp = [t for t, e in enumerate(b) if e]
+    faces = []
+    for r in range(len(supp) + 1):
+        for tau in combinations(supp, r):
+            m = list(b)
+            for t in tau:
+                m[t] -= 1
+            if inside(tuple(m)):
+                faces.append(frozenset(t + 1 for t in tau))
+    return faces
+
+
 def upper_koszul(I: MonomialIdeal, b) -> SimplicialComplexSmall:
     """Faces are the squarefree subsets tau of the support of b with
     x^b / x^tau still in the ideal."""
     if len(b) != I.n:
         raise DomainError("multidegree lives in a different ring")
     supp = tuple(t + 1 for t, e in enumerate(b) if e > 0)
-    faces = set()
-    for r in range(len(supp) + 1):
-        for tau in combinations(supp, r):
-            m = list(b)
-            for v in tau:
-                m[v - 1] -= 1
-            if I.contains(tuple(m)):
-                faces.add(frozenset(tau))
-    return SimplicialComplexSmall(supp, frozenset(faces))
+    return SimplicialComplexSmall(supp, frozenset(_koszul_faces(b, I.contains)))
 
 
 def integer_matrix_rank(rows) -> int:
@@ -174,23 +181,11 @@ def oracle_betti(I: MonomialIdeal, budget: int = DEFAULT_MULTIDEGREE_BUDGET) -> 
     for b, inside in member.items():
         if not inside:
             continue
-        supp = [t for t in range(I.n) if b[t]]
-        s = len(supp)
-        present = []
-        full = True
-        for r in range(s + 1):
-            for tau in combinations(supp, r):
-                m = list(b)
-                for t in tau:
-                    m[t] -= 1
-                if member[tuple(m)]:
-                    present.append(frozenset(t + 1 for t in tau))
-                else:
-                    full = False
-        if full:
+        faces = _koszul_faces(b, member.__getitem__)
+        if len(faces) == 2 ** sum(1 for e in b if e):
             continue  # a full simplex is contractible
         j = sum(b)
-        for dim, rank in _ranks_from_faces(present).items():
+        for dim, rank in _ranks_from_faces(faces).items():
             if rank:
                 key = (dim + 1, j)
                 entries[key] = entries.get(key, 0) + rank

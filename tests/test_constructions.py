@@ -266,6 +266,7 @@ def test_realize_greedy_failure_on_obstruction():
     result = realize_matrix_greedy(M)
     assert not result.ok
     assert result.fail_degree == 6
+    assert result.fail_index == 4
     assert "strong stability" in result.reason
 
 

@@ -236,6 +236,28 @@ def test_cli_verify_paper(capsys):
     assert code == 3 and "SKIP" in out
 
 
+def test_cli_count_only_matches_count(capsys):
+    code, out, _ = run_cli(capsys, "enumerate", "--n", "3", "--dmax", "3", "--count-only")
+    assert code == 0 and int(out) == sb.count_strongly_stable(3, 3)
+    code, _, _ = run_cli(
+        capsys, "enumerate", "--n", "2", "--dmax", "2", "--count-only", "--budget", "2"
+    )
+    assert code == 3
+
+
+def test_cli_budget_zero_is_honoured(tmp_path, capsys):
+    path = tmp_path / "ideal.txt"
+    path.write_text("n=2\n2 0\n1 1\n0 2\n")
+    code, _, err = run_cli(capsys, "betti", str(path), "--method", "oracle", "--budget", "0")
+    assert code == 3 and "budget" in err
+    code, _, err = run_cli(
+        capsys, "search", "profile", "--profile", "2,4,1;3,2,1", "--n", "4", "--budget", "0"
+    )
+    assert code == 3 and "budget" in err
+    code, out, _ = run_cli(capsys, "verify-paper", "--budget", "0")
+    assert code == 3 and "SKIP" in out
+
+
 def test_cli_matrix_rejects_unstable(tmp_path, capsys):
     path = tmp_path / "unstable.txt"
     path.write_text("n=2\n0 2\n")

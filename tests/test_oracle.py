@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
@@ -120,6 +121,17 @@ def test_oracle_budget():
 def test_oracle_matches_formula_small_corpus(corpus_n3):
     for I in corpus_n3[::3]:
         assert oracle_betti(I) == sb.ek_betti(I)
+
+
+def test_upper_koszul_homology_sums_to_oracle(corpus_n3):
+    for I in corpus_n3:
+        lcm = [max(col) for col in zip(*I.gens)]
+        entries = {}
+        for b in product(*(range(e + 1) for e in lcm)):
+            for dim, rank in reduced_homology_ranks(upper_koszul(I, b)).items():
+                key = (dim + 1, sum(b))
+                entries[key] = entries.get(key, 0) + rank
+        assert sb.BettiTable(I.n, entries) == oracle_betti(I), I
 
 
 def test_oracle_shape_and_counts_nonnegative(corpus_n3):
