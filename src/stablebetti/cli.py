@@ -56,6 +56,13 @@ def _read(path):
         raise MalformedInputError(f"cannot read {path}: {exc}")
 
 
+def _budget(text):
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"budget must be nonnegative, got {value}")
+    return value
+
+
 def _parse_counts(text):
     try:
         counts = tuple(int(p) for p in text.replace(";", ",").split(",") if p.strip())
@@ -289,7 +296,7 @@ def build_parser():
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_budget(q, default):
-        q.add_argument("--budget", type=int, default=default, help="resource budget; 0 allows nothing")
+        q.add_argument("--budget", type=_budget, default=default, help="resource budget; 0 allows nothing")
 
     p = sub.add_parser("macaulay", help="representations, shifts, O-sequence tests")
     msub = p.add_subparsers(dest="what", required=True)

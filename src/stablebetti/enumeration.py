@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .betti import corners_from_counts
 from .errors import BudgetExceededError, DomainError
-from .ideals import GeneratorMatrix, MonomialIdeal, class_degree_counts, generator_matrix
+from .ideals import GeneratorMatrix, MonomialIdeal, class_degree_counts
 from .monomials import deglex_key, enumerate_degree, max_index
 
 DEFAULT_ENUM_N = 4
@@ -94,11 +94,11 @@ def _shadow(layer: _Layer, mask: int) -> int:
     return out
 
 
-def _walk_filters(layer: _Layer, base: int, spec, count_new: bool, visit):
-    """Call visit(mask) for every exchange-closed superset of base whose
-    per-class counts match spec (entries: exact int or None for free).
-    Counting covers the whole set, or only elements outside base when
-    count_new is set.  visit returning True aborts the walk."""
+def _filters(layer: _Layer, base: int, spec, count_new: bool) -> list:
+    """Every exchange-closed superset of base whose per-class counts match
+    spec (entries: exact int or None for free), in DFS order.  Counting
+    covers the whole set, or only elements outside base when count_new
+    is set."""
     n = layer.n
     size = len(layer.mons)
     cls = layer.cls
@@ -116,6 +116,7 @@ def _walk_filters(layer: _Layer, base: int, spec, count_new: bool, visit):
     else:
         suffix = layer.suffix_all
     cnt = [0] * n
+    out = []
 
     def feasible(t):
         for i in range(n):
@@ -128,79 +129,80 @@ def _walk_filters(layer: _Layer, base: int, spec, count_new: bool, visit):
 
     def rec(t, cur):
         if not feasible(t):
-            return False
+            return
         if t == size:
-            return visit(cur)
+            out.append(cur)
+            return
         c = cls[t] - 1
         bit = 1 << t
         if base & bit:
             if not count_new:
                 cnt[c] += 1
-                stop = rec(t + 1, cur | bit)
+                rec(t + 1, cur | bit)
                 cnt[c] -= 1
             else:
-                stop = rec(t + 1, cur | bit)
-            return stop
+                rec(t + 1, cur | bit)
+            return
         # exclude
-        if rec(t + 1, cur):
-            return True
+        rec(t + 1, cur)
         # include, if every exchange target is already in
         if parents[t] & ~cur == 0:
             tgt = spec[c]
             if tgt is None or cnt[c] < tgt:
                 cnt[c] += 1
-                stop = rec(t + 1, cur | bit)
+                rec(t + 1, cur | bit)
                 cnt[c] -= 1
-                return stop
-        return False
 
     rec(0, 0)
+    return out
 
 
-def _walk_chains(n, dmax, spec_for, count_new, visit_gens):
-    """DFS over chains of exchange-closed sets for d = 1..dmax.
+def _chains(n, dmax, spec_for, count_new):
+    """Yield the minimal generators (as monomials) of every chain of
+    exchange-closed sets for d = 1..dmax, depth first.
 
     spec_for(d) supplies the per-class constraint for degree d (or None).
-    visit_gens receives the list of minimal generators (as monomials) of
-    each completed chain; returning True aborts the walk.
     """
     layers = [_layer(n, d) for d in range(1, dmax + 1)]
     for a, b in zip(layers, layers[1:]):
         _link(a, b)
-    aborted = False
 
     def rec(di, shadow_mask, gens):
-        nonlocal aborted
-        if aborted:
-            return
         if di == dmax:
-            if visit_gens(gens):
-                aborted = True
+            yield gens
             return
         layer = layers[di]
-
-        def take(mask):
-            new_bits = mask & ~shadow_mask
+        for mask in _filters(layer, shadow_mask, spec_for(di + 1), count_new):
             added = []
-            m = new_bits
+            m = mask & ~shadow_mask
             while m:
                 low = m & -m
                 added.append(layer.mons[low.bit_length() - 1])
                 m ^= low
             nxt_shadow = _shadow(layer, mask) if di + 1 < dmax else 0
-            rec(di + 1, nxt_shadow, gens + added)
-            return aborted
+            yield from rec(di + 1, nxt_shadow, gens + added)
 
-        _walk_filters(layer, shadow_mask, spec_for(di + 1), count_new, take)
+    return rec(0, 0, [])
 
-    rec(0, 0, [])
+
+def _budgeted(chains, budget, message):
+    """The nonempty chains, raising BudgetExceededError(message) at the
+    first one past the budget."""
+    seen = 0
+    for gens in chains:
+        if gens:
+            if seen >= budget:
+                raise BudgetExceededError(message, partial_count=seen)
+            seen += 1
+            yield gens
 
 
 def _canonical_key(gens):
     return (max(sum(g) for g in gens), tuple(deglex_key(g) for g in gens))
 
 
-def _enum_cap(n, dmax, budget):
+def _ideal_chains(n, dmax, budget):
+    """The budgeted, unconstrained walk behind enumeration and counting."""
     if n < 1 or dmax < 1:
         raise DomainError("need n >= 1 and dmax >= 1")
     if budget is None and (n > DEFAULT_ENUM_N or dmax > DEFAULT_ENUM_DMAX):
@@ -209,57 +211,32 @@ def _enum_cap(n, dmax, budget):
             "pass an explicit budget to enumerate further",
             partial_count=0,
         )
-    return budget if budget is not None else DEFAULT_BUDGET
+    cap = budget if budget is not None else DEFAULT_BUDGET
+    return _budgeted(
+        _chains(n, dmax, lambda d: None, False), cap,
+        f"enumeration exceeded the budget of {cap} ideals",
+    )
 
 
 def enumerate_strongly_stable(n, dmax, budget=None):
     """Yield every nonzero strongly stable ideal in n variables whose
     minimal generators all have degree <= dmax, each exactly once, in a
     canonical order: by maximal generator degree, then lexicographically
-    on the descending generator lists.
+    on the generator lists read by ascending degree and, within a degree,
+    by descending deglex.
 
     The default budget covers n <= 4 and dmax <= 5; pass an explicit
     budget to go further.  Exceeding the budget raises
     BudgetExceededError carrying the partial count.
     """
-    cap = _enum_cap(n, dmax, budget)
-    collected = []
-
-    def visit(gens):
-        if gens:
-            collected.append(tuple(gens))
-            if len(collected) > cap:
-                raise BudgetExceededError(
-                    f"enumeration exceeded the budget of {cap} ideals",
-                    partial_count=len(collected) - 1,
-                )
-        return False
-
-    _walk_chains(n, dmax, lambda d: None, False, visit)
-    collected.sort(key=_canonical_key)
-    for gens in collected:
+    for gens in sorted(_ideal_chains(n, dmax, budget), key=_canonical_key):
         yield MonomialIdeal(n, gens)
 
 
 def count_strongly_stable(n, dmax, budget=None) -> int:
     """Number of ideals enumerate_strongly_stable would yield, without
     materializing them."""
-    cap = _enum_cap(n, dmax, budget)
-    seen = 0
-
-    def visit(gens):
-        nonlocal seen
-        if gens:
-            seen += 1
-            if seen > cap:
-                raise BudgetExceededError(
-                    f"enumeration exceeded the budget of {cap} ideals",
-                    partial_count=seen - 1,
-                )
-        return False
-
-    _walk_chains(n, dmax, lambda d: None, False, visit)
-    return seen
+    return sum(1 for _ in _ideal_chains(n, dmax, budget))
 
 
 @dataclass(frozen=True)
@@ -297,28 +274,16 @@ def search_matrix(M: GeneratorMatrix, dmax=None, budget=DEFAULT_BUDGET) -> Searc
             return [0] * canon.n
         return list(canon.row(d))
 
+    # the spec pins every row through depth, so once depth reaches the
+    # last row each chain has exactly this matrix
+    chains = _budgeted(
+        _chains(canon.n, depth, spec_for, False), budget,
+        f"matrix search exceeded the budget of {budget} candidates",
+    )
     examined = 0
-    hit = []
-
-    def visit(gens):
-        nonlocal examined
-        if not gens:
-            return False
-        examined += 1
-        if examined > budget:
-            raise BudgetExceededError(
-                f"matrix search exceeded the budget of {budget} candidates",
-                partial_count=examined - 1,
-            )
-        ideal = MonomialIdeal(canon.n, gens)
-        if generator_matrix(ideal) == canon:
-            hit.append(ideal)
-            return True
-        return False
-
-    _walk_chains(canon.n, depth, spec_for, False, visit)
-    if hit:
-        return SearchOutcome(hit[0], True, examined)
+    for examined, gens in enumerate(chains, 1):
+        if certified:
+            return SearchOutcome(MonomialIdeal(canon.n, gens), True, examined)
     note = (
         "no strongly stable ideal has this matrix of generators"
         if certified
@@ -356,26 +321,14 @@ def search_extremal_profile(profile, dmax, budget=DEFAULT_BUDGET) -> SearchOutco
     if dmax < j1:
         raise DomainError(f"dmax={dmax} must be at least the largest corner degree {j1}")
     specs = _profile_specs(profile, dmax)
-    target = profile.triples
+    chains = _budgeted(
+        _chains(profile.n, dmax, lambda d: specs[d], True), budget,
+        f"profile search exceeded the budget of {budget} candidates",
+    )
     examined = 0
-    hit = []
-
-    def visit(gens):
-        nonlocal examined
-        examined += 1
-        if examined > budget:
-            raise BudgetExceededError(
-                f"profile search exceeded the budget of {budget} candidates",
-                partial_count=examined - 1,
-            )
-        if tuple(corners_from_counts(class_degree_counts(gens))) == target:
-            hit.append(MonomialIdeal(profile.n, gens))
-            return True
-        return False
-
-    _walk_chains(profile.n, dmax, lambda d: specs[d], True, visit)
-    if hit:
-        return SearchOutcome(hit[0], True, examined)
+    for examined, gens in enumerate(chains, 1):
+        if tuple(corners_from_counts(class_degree_counts(gens))) == profile.triples:
+            return SearchOutcome(MonomialIdeal(profile.n, gens), True, examined)
     return SearchOutcome(
         None, True, examined,
         "no strongly stable ideal (hence, in characteristic 0, no homogeneous "

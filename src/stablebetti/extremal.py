@@ -12,10 +12,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .betti import extremal_corners, extremal_from_stable
+from .betti import corners_from_counts, extremal_corners
 from .constructions import subring_lexsegment_ideal
 from .errors import DomainError, InfeasibleProfileError, StableBettiError
-from .ideals import MonomialIdeal, graded_component, ideal_sum, is_stable
+from .ideals import MonomialIdeal, class_degree_counts, graded_component, ideal_sum, is_stable
 from .macaulay import binom, iterated_cumsum_last, macaulay_shift
 from .monomials import max_index
 from .oracle import oracle_betti
@@ -209,7 +209,7 @@ def verify_profile(I: MonomialIdeal, profile: ExtremalProfile) -> bool:
     if I.n != profile.n:
         return False
     if is_stable(I):
-        corners = extremal_from_stable(I)
+        corners = corners_from_counts(class_degree_counts(I.gens))
     else:
         corners = extremal_corners(oracle_betti(I))
     return tuple(corners) == profile.triples

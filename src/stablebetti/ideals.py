@@ -304,18 +304,12 @@ class GeneratorMatrix:
 def generator_matrix(I: MonomialIdeal) -> GeneratorMatrix:
     """Matrix of generators of a strongly stable ideal: row j counts the
     degree-j monomials of I by max index, from the initial degree through
-    the maximal generator degree."""
-    if I.is_zero:
-        return GeneratorMatrix(I.n, 1, ())
+    the maximal generator degree.  For a stable ideal these rows follow
+    from the generator counts by mu_{i,j} = m_{i,j} + sum_{q<=i}
+    mu_{q,j-1} (Eliahou-Kervaire)."""
     if not is_strongly_stable(I):
         raise NotStableError("matrix of generators requires a strongly stable ideal")
-    rows = []
-    for j in range(I.min_gen_degree(), I.max_gen_degree() + 1):
-        row = [0] * I.n
-        for u in graded_component(I, j):
-            row[max_index(u) - 1] += 1
-        rows.append(tuple(row))
-    return GeneratorMatrix(I.n, I.min_gen_degree(), tuple(rows))
+    return counts_to_matrix(class_degree_counts(I.gens), I.n)
 
 
 def matrix_to_counts(M: GeneratorMatrix) -> dict:

@@ -62,10 +62,25 @@ def test_canonical_order_and_determinism():
     assert degrees == sorted(degrees)
 
 
+def test_enumeration_order_pinned():
+    # maximal degree, then the generators by ascending degree and, within
+    # a degree, by descending deglex
+    def key(gens):
+        ordered = sorted(gens, key=lambda g: (sum(g), tuple(-e for e in g)))
+        return (max(sum(g) for g in gens), [(sum(g), g) for g in ordered])
+
+    keys = [key(I.gens) for I in enumerate_strongly_stable(3, 4)]
+    assert len(keys) == count_strongly_stable(3, 4)
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+
+
 def test_budget_and_default_caps():
     with pytest.raises(sb.BudgetExceededError) as err:
         list(enumerate_strongly_stable(2, 2, budget=3))
     assert err.value.partial_count == 3
+    with pytest.raises(sb.BudgetExceededError) as err:
+        count_strongly_stable(3, 3, budget=10)
+    assert err.value.partial_count == 10
     with pytest.raises(sb.BudgetExceededError):
         list(enumerate_strongly_stable(5, 2))
     assert count_strongly_stable(5, 2, budget=10**6) > 0
@@ -105,13 +120,19 @@ def test_search_matrix_bounded_note():
     # trailing implied rows collapse: this is the matrix of (x_1)
     M = GeneratorMatrix(2, 1, ((1, 0), (1, 1), (1, 2)))
     assert M.canonical().rows == ((1, 0),)
-    assert search_matrix(M, dmax=2).found == MonomialIdeal(2, [(1, 0)])
+    out = search_matrix(M, dmax=2)
+    assert out.found == MonomialIdeal(2, [(1, 0)])
+    assert (out.certified, out.examined, out.note) == (True, 1, "")
     # a genuinely two-row matrix searched below its last row degree
     M2 = GeneratorMatrix(2, 1, ((1, 0), (1, 2)))
     out = search_matrix(M2, dmax=1)
-    assert out.found is None and not out.certified
-    assert "bounded" in out.note
-    assert search_matrix(M2).found == MonomialIdeal(2, [(1, 0), (0, 2)])
+    assert out.found is None
+    assert (out.certified, out.examined, out.note) == (
+        False, 1, "none found with generator degrees <= 1 (bounded search)"
+    )
+    out = search_matrix(M2)
+    assert out.found == MonomialIdeal(2, [(1, 0), (0, 2)])
+    assert (out.certified, out.examined, out.note) == (True, 1, "")
 
 
 def test_search_matrix_below_first_row():

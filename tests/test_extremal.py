@@ -107,6 +107,25 @@ def test_verify_profile():
     assert verify_profile(J, ExtremalProfile(3, ((2, 5, 3),)))
 
 
+def test_verify_profile_tests_stability_once(monkeypatch):
+    import stablebetti.extremal as extremal_mod
+    import stablebetti.ideals as ideals_mod
+
+    prof = ExtremalProfile(4, ((2, 4, 1), (3, 2, 1)))
+    witness = nested_lex_ideal(prof)
+    real = ideals_mod.is_stable
+    calls = []
+
+    def counting(I):
+        calls.append(I)
+        return real(I)
+
+    monkeypatch.setattr(extremal_mod, "is_stable", counting)
+    monkeypatch.setattr(ideals_mod, "is_stable", counting)
+    assert verify_profile(witness, prof)
+    assert len(calls) == 1
+
+
 def random_profile(rng):
     n = rng.randint(2, 5)
     k = rng.randint(1, min(3, n - 1))

@@ -258,6 +258,18 @@ def test_cli_budget_zero_is_honoured(tmp_path, capsys):
     assert code == 3 and "SKIP" in out
 
 
+def test_cli_negative_budget_is_malformed(tmp_path):
+    path = tmp_path / "ideal.txt"
+    path.write_text("n=2\n2 0\n1 1\n0 2\n")
+    for argv in (
+        ["betti", str(path), "--method", "oracle", "--budget", "-1"],
+        ["enumerate", "--n", "2", "--dmax", "2", "--budget", "-1"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+
+
 def test_cli_matrix_rejects_unstable(tmp_path, capsys):
     path = tmp_path / "unstable.txt"
     path.write_text("n=2\n0 2\n")

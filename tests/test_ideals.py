@@ -163,6 +163,20 @@ def test_generator_matrix_examples():
         sb.generator_matrix(EX_J)
 
 
+def test_generator_matrix_matches_definition(corpus_n3, corpus_random_n4):
+    # row j counts graded_component(I, j) by max index
+    for I in corpus_n3 + corpus_random_n4:
+        jmin = I.min_gen_degree()
+        rows = []
+        for j in range(jmin, I.max_gen_degree() + 1):
+            row = [0] * I.n
+            for u in sb.graded_component(I, j):
+                row[max_index(u) - 1] += 1
+            rows.append(tuple(row))
+        M = sb.generator_matrix(I)
+        assert (M.n, M.jmin, M.rows) == (I.n, jmin, tuple(rows))
+
+
 def test_matrix_counts_roundtrip_on_example():
     M = sb.generator_matrix(EX_I)
     assert M.jmin == 4

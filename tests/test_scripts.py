@@ -1,0 +1,36 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize(
+    "argv, check",
+    [
+        (
+            ["realize_matrix_sweep.py", "--max-degree", "3", "--entry-cap", "4"],
+            lambda line: line.startswith("42 admissible matrices, 42 realized"),
+        ),
+        (
+            ["count_strongly_stable.py", "--max-n", "3", "--max-dmax", "3"],
+            lambda line: line.split()[:3] == ["3", "3", "64"],
+        ),
+        (
+            ["adjudicate_prefix_sum.py"],
+            lambda line: line == "generator counting:        9",
+        ),
+    ],
+)
+def test_script_runs(argv, check):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / argv[0]), *argv[1:]],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert any(check(line) for line in proc.stdout.splitlines()), proc.stdout
