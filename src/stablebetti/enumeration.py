@@ -71,17 +71,22 @@ def _layer(n, d) -> _Layer:
     return _layers[key]
 
 
-def _link(layer: _Layer, nxt: _Layer):
-    if layer.mult is None:
-        mult = []
-        for u in layer.mons:
-            mask = 0
-            for t in range(layer.n):
-                w = list(u)
-                w[t] += 1
-                mask |= 1 << nxt.index[tuple(w)]
-            mult.append(mask)
-        layer.mult = mult
+def _linked_layers(n, dmax) -> list:
+    """The layers of degrees 1..dmax, each with the multiplication masks
+    into the next."""
+    layers = [_layer(n, d) for d in range(1, dmax + 1)]
+    for layer, nxt in zip(layers, layers[1:]):
+        if layer.mult is None:
+            mult = []
+            for u in layer.mons:
+                mask = 0
+                for t in range(layer.n):
+                    w = list(u)
+                    w[t] += 1
+                    mask |= 1 << nxt.index[tuple(w)]
+                mult.append(mask)
+            layer.mult = mult
+    return layers
 
 
 def _shadow(layer: _Layer, mask: int) -> int:
@@ -94,11 +99,11 @@ def _shadow(layer: _Layer, mask: int) -> int:
     return out
 
 
-def _filters(layer: _Layer, base: int, spec, count_new: bool) -> list:
-    """Every exchange-closed superset of base whose per-class counts match
-    spec (entries: exact int or None for free), in DFS order.  Counting
-    covers the whole set, or only elements outside base when count_new
-    is set."""
+def _filters(layer: _Layer, base: int, spec, count_new: bool):
+    """Yield every exchange-closed superset of base whose per-class counts
+    match spec (entries: exact int or None for free), depth first with
+    exclusion before inclusion.  Counting covers the whole set, or only
+    elements outside base when count_new is set."""
     n = layer.n
     size = len(layer.mons)
     cls = layer.cls
@@ -115,46 +120,37 @@ def _filters(layer: _Layer, base: int, spec, count_new: bool) -> list:
             suffix[t] = row
     else:
         suffix = layer.suffix_all
-    cnt = [0] * n
-    out = []
-
-    def feasible(t):
-        for i in range(n):
-            tgt = spec[i]
-            if tgt is None:
-                continue
-            if cnt[i] > tgt or cnt[i] + suffix[t][i] < tgt:
-                return False
-        return True
-
-    def rec(t, cur):
-        if not feasible(t):
-            return
-        if t == size:
-            out.append(cur)
-            return
-        c = cls[t] - 1
-        bit = 1 << t
-        if base & bit:
-            if not count_new:
-                cnt[c] += 1
-                rec(t + 1, cur | bit)
-                cnt[c] -= 1
-            else:
-                rec(t + 1, cur | bit)
-            return
-        # exclude
-        rec(t + 1, cur)
-        # include, if every exchange target is already in
-        if parents[t] & ~cur == 0:
+    if any(tgt is not None and tgt > left for tgt, left in zip(spec, suffix[0])):
+        return
+    # Along a path the counts only rise and the countable elements left
+    # only fall, so a step can break only the target of the class it
+    # touches; including a countable element keeps their sum and needs no
+    # check.  Include branches wait on the stack as (next position, set,
+    # counts) and are taken once the exclude branch below them is done.
+    stack = [(0, 0, [0] * n)]
+    while stack:
+        t, cur, cnt = stack.pop()
+        while t < size:
+            c = cls[t] - 1
             tgt = spec[c]
-            if tgt is None or cnt[c] < tgt:
-                cnt[c] += 1
-                rec(t + 1, cur | bit)
-                cnt[c] -= 1
-
-    rec(0, 0)
-    return out
+            bit = 1 << t
+            if base & bit:
+                cur |= bit
+                t += 1
+                if not count_new:
+                    cnt[c] += 1
+                    if tgt is not None and cnt[c] > tgt:
+                        break
+                continue
+            if parents[t] & ~cur == 0 and (tgt is None or cnt[c] < tgt):
+                inc = cnt[:]
+                inc[c] += 1
+                stack.append((t + 1, cur | bit, inc))
+            t += 1
+            if tgt is not None and cnt[c] + suffix[t][c] < tgt:
+                break
+        else:
+            yield cur
 
 
 def _chains(n, dmax, spec_for, count_new):
@@ -163,9 +159,7 @@ def _chains(n, dmax, spec_for, count_new):
 
     spec_for(d) supplies the per-class constraint for degree d (or None).
     """
-    layers = [_layer(n, d) for d in range(1, dmax + 1)]
-    for a, b in zip(layers, layers[1:]):
-        _link(a, b)
+    layers = _linked_layers(n, dmax)
 
     def rec(di, shadow_mask, gens):
         if di == dmax:
@@ -341,9 +335,7 @@ def random_strongly_stable(n, dmax, rng: random.Random, max_new=3) -> MonomialId
     <= dmax, drawn by extending a random chain degree by degree."""
     if n < 1 or dmax < 1:
         raise DomainError("need n >= 1 and dmax >= 1")
-    layers = [_layer(n, d) for d in range(1, dmax + 1)]
-    for a, b in zip(layers, layers[1:]):
-        _link(a, b)
+    layers = _linked_layers(n, dmax)
     while True:
         gens = []
         mask = 0

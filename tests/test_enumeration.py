@@ -1,4 +1,5 @@
 import random
+import time
 from itertools import combinations
 
 import pytest
@@ -84,6 +85,22 @@ def test_budget_and_default_caps():
     with pytest.raises(sb.BudgetExceededError):
         list(enumerate_strongly_stable(5, 2))
     assert count_strongly_stable(5, 2, budget=10**6) > 0
+
+
+def test_small_budget_stops_a_deep_walk_at_once():
+    # the walk is lazy: a budget stops it at the first chain past the
+    # budget, before the many exchange-closed sets of degrees up to 12
+    start = time.perf_counter()
+    with pytest.raises(sb.BudgetExceededError) as err:
+        count_strongly_stable(4, 12, budget=0)
+    assert err.value.partial_count == 0
+    with pytest.raises(sb.BudgetExceededError) as err:
+        list(enumerate_strongly_stable(4, 12, budget=1))
+    assert err.value.partial_count == 1
+    with pytest.raises(sb.BudgetExceededError) as err:
+        search_extremal_profile(sb.ExtremalProfile(4, ((2, 12, 2),)), 12, budget=0)
+    assert err.value.partial_count == 0
+    assert time.perf_counter() - start < 2.0
 
 
 def test_count_matches_enumeration():

@@ -161,6 +161,9 @@ def test_generator_matrix_examples():
 
     with pytest.raises(sb.NotStableError):
         sb.generator_matrix(EX_J)
+    # the unit ideal is refused when built, before any matrix is read
+    with pytest.raises(sb.UnitIdealError):
+        sb.generator_matrix(MonomialIdeal(3, [(0, 0, 0)]))
 
 
 def test_generator_matrix_matches_definition(corpus_n3, corpus_random_n4):
