@@ -367,7 +367,8 @@ def build_parser():
         q = esub.add_parser(what)
         q.add_argument("--profile", required=True, help='triples "i1,j1,b1;i2,j2,b2;..."')
         q.add_argument("--n", type=int, required=True)
-        q.add_argument("--json", action="store_true")
+        if what == "check":
+            q.add_argument("--json", action="store_true")
         q.add_argument(
             "--confirm",
             action="store_true",

@@ -14,12 +14,12 @@ from .ideals import (
     is_strongly_stable,
     matrix_to_counts,
     minimalize,
+    new_generator_row,
     unstable_generator,
 )
-from .macaulay import binom, cumsum, is_o_sequence, macaulay_rep
+from .macaulay import binom, is_o_sequence, macaulay_rep
 from .monomials import (
     class_size,
-    deglex_key,
     enumerate_degree,
     kth_biggest_with_max_index,
     max_index,
@@ -173,8 +173,9 @@ def lower_segment_blocks(u) -> list:
 
 
 def block_monomials(block: Block, n: int) -> list:
-    """The monomials a block stands for, deglex descending; empty when the
-    bracket starts past the last variable."""
+    """The monomials a block stands for, deglex descending (they share the
+    prefix, and enumerate_degree yields the tails in that order); empty
+    when the bracket starts past the last variable."""
     if block.start > n:
         return []
     width = n - block.start + 1
@@ -184,7 +185,6 @@ def block_monomials(block: Block, n: int) -> list:
         for t, e in enumerate(tail):
             w[block.start - 1 + t] += e
         out.append(tuple(w))
-    out.sort(key=deglex_key, reverse=True)
     return out
 
 
@@ -238,14 +238,14 @@ class MatrixCheck:
 def _cumulative_items(M: GeneratorMatrix):
     items = []
     for j in range(M.jmin, M.jmin + len(M.rows)):
-        for i, (mu, acc) in enumerate(zip(M.row(j), cumsum(M.row(j - 1))), 1):
-            if mu < acc:
+        for i, (mu, m) in enumerate(zip(M.row(j), new_generator_row(M, j)), 1):
+            if m < 0:
                 items.append(
                     MatrixCheckItem(
                         j,
                         "cumulative",
                         False,
-                        f"mu_{{{i},{j}}} = {mu} < {acc} = sum of previous row up to {i}",
+                        f"mu_{{{i},{j}}} = {mu} < {mu - m} = sum of previous row up to {i}",
                     )
                 )
                 break

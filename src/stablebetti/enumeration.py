@@ -9,9 +9,10 @@ supersets of the shadow are enumerated by a bitmask DFS over the
 monomials in descending order (an exchange move always produces an
 earlier monomial, so a monomial may enter only once its movers are in).
 
-Searches prune with per-degree, per-class count constraints: exact totals
-for generator-matrix targets, exact new-generator counts for extremal
-profiles.
+Searches prune with per-degree, per-class counts of new generators (the
+elements of B_d outside the shadow).  A generator-matrix target pins
+them through m_{i,d} = mu_{i,d} - sum_{q<=i} mu_{q,d-1}, an extremal
+profile pins some of them directly.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 from .betti import corners_from_counts
 from .errors import BudgetExceededError, DomainError
-from .ideals import GeneratorMatrix, MonomialIdeal, class_degree_counts
+from .ideals import GeneratorMatrix, MonomialIdeal, class_degree_counts, new_generator_row
 from .monomials import deglex_key, enumerate_degree, max_index
 
 DEFAULT_ENUM_N = 4
@@ -32,7 +33,7 @@ DEFAULT_BUDGET = 2 * 10**6
 class _Layer:
     """Degree slice of the monomial poset with precomputed move masks."""
 
-    __slots__ = ("n", "d", "mons", "index", "parents", "cls", "mult", "suffix_all")
+    __slots__ = ("n", "d", "mons", "index", "parents", "cls", "class_masks", "mult")
 
     def __init__(self, n, d):
         self.n = n
@@ -50,15 +51,11 @@ class _Layer:
                     w[j - 2] += 1
                     mask |= 1 << self.index[tuple(w)]
             self.parents.append(mask)
+        # class_masks[i-1]: the positions of the monomials with max index i
+        self.class_masks = [0] * n
+        for t, i in enumerate(self.cls):
+            self.class_masks[i - 1] |= 1 << t
         self.mult = None  # filled when the next layer exists
-        # suffix_all[t][i-1]: elements of class i at positions >= t
-        size = len(self.mons)
-        suffix = [[0] * n for _ in range(size + 1)]
-        for t in range(size - 1, -1, -1):
-            row = suffix[t + 1][:]
-            row[self.cls[t] - 1] += 1
-            suffix[t] = row
-        self.suffix_all = suffix
 
 
 _layers = {}
@@ -99,65 +96,54 @@ def _shadow(layer: _Layer, mask: int) -> int:
     return out
 
 
-def _filters(layer: _Layer, base: int, spec, count_new: bool):
-    """Yield every exchange-closed superset of base whose per-class counts
-    match spec (entries: exact int or None for free), depth first with
-    exclusion before inclusion.  Counting covers the whole set, or only
-    elements outside base when count_new is set."""
+def _filters(layer: _Layer, base: int, spec):
+    """Yield every exchange-closed superset of base whose new elements
+    (those outside base) match spec in each class (entries: exact int or
+    None for free; a negative entry admits no set), depth first with
+    exclusion before inclusion."""
     n = layer.n
     size = len(layer.mons)
     cls = layer.cls
     parents = layer.parents
     if spec is None:
         spec = [None] * n
-    # remaining countable elements per class in positions >= t
-    if count_new:
-        suffix = [[0] * n for _ in range(size + 1)]
-        for t in range(size - 1, -1, -1):
-            row = suffix[t + 1][:]
-            if not (base >> t) & 1:
-                row[cls[t] - 1] += 1
-            suffix[t] = row
-    else:
-        suffix = layer.suffix_all
-    if any(tgt is not None and tgt > left for tgt, left in zip(spec, suffix[0])):
+    # free[c]: positions of class c+1 outside base, the elements a step can add
+    free = [mask & ~base for mask in layer.class_masks]
+    if any(tgt is not None and not 0 <= tgt <= f.bit_count() for tgt, f in zip(spec, free)):
         return
-    # Along a path the counts only rise and the countable elements left
-    # only fall, so a step can break only the target of the class it
-    # touches; including a countable element keeps their sum and needs no
-    # check.  Include branches wait on the stack as (next position, set,
-    # counts) and are taken once the exclude branch below them is done.
-    stack = [(0, 0, [0] * n)]
+    # Along a path the counts only rise and the free elements left only
+    # fall, so a step can break only the target of the class it touches,
+    # and only a positive one; including an element keeps their sum and
+    # needs no check.  Include branches wait on the stack as (next
+    # position, set, counts) and are taken once the exclude branch below
+    # them is done.
+    stack = [(0, base, [0] * n)]
     while stack:
         t, cur, cnt = stack.pop()
         while t < size:
-            c = cls[t] - 1
-            tgt = spec[c]
             bit = 1 << t
             if base & bit:
-                cur |= bit
                 t += 1
-                if not count_new:
-                    cnt[c] += 1
-                    if tgt is not None and cnt[c] > tgt:
-                        break
                 continue
+            c = cls[t] - 1
+            tgt = spec[c]
             if parents[t] & ~cur == 0 and (tgt is None or cnt[c] < tgt):
                 inc = cnt[:]
                 inc[c] += 1
                 stack.append((t + 1, cur | bit, inc))
             t += 1
-            if tgt is not None and cnt[c] + suffix[t][c] < tgt:
+            if tgt and cnt[c] + (free[c] >> t).bit_count() < tgt:
                 break
         else:
             yield cur
 
 
-def _chains(n, dmax, spec_for, count_new):
+def _chains(n, dmax, spec_for):
     """Yield the minimal generators (as monomials) of every chain of
     exchange-closed sets for d = 1..dmax, depth first.
 
-    spec_for(d) supplies the per-class constraint for degree d (or None).
+    spec_for(d) supplies the per-class new-generator counts for degree d
+    (or None).
     """
     layers = _linked_layers(n, dmax)
 
@@ -166,7 +152,7 @@ def _chains(n, dmax, spec_for, count_new):
             yield gens
             return
         layer = layers[di]
-        for mask in _filters(layer, shadow_mask, spec_for(di + 1), count_new):
+        for mask in _filters(layer, shadow_mask, spec_for(di + 1)):
             added = []
             m = mask & ~shadow_mask
             while m:
@@ -207,7 +193,7 @@ def _ideal_chains(n, dmax, budget):
         )
     cap = budget if budget is not None else DEFAULT_BUDGET
     return _budgeted(
-        _chains(n, dmax, lambda d: None, False), cap,
+        _chains(n, dmax, lambda d: None), cap,
         f"enumeration exceeded the budget of {cap} ideals",
     )
 
@@ -263,15 +249,12 @@ def search_matrix(M: GeneratorMatrix, dmax=None, budget=DEFAULT_BUDGET) -> Searc
     depth = jmax if dmax is None else min(dmax, jmax)
     certified = depth >= jmax
 
-    def spec_for(d):
-        if d > jmax:
-            return [0] * canon.n
-        return list(canon.row(d))
-
-    # the spec pins every row through depth, so once depth reaches the
+    # the shadow of a chain matching rows 1..d-1 holds the prefix sums of
+    # row d-1, so the new generators pin row d; once depth reaches the
     # last row each chain has exactly this matrix
+    pins = {d: new_generator_row(canon, d) for d in range(1, depth + 1)}
     chains = _budgeted(
-        _chains(canon.n, depth, spec_for, False), budget,
+        _chains(canon.n, depth, pins.__getitem__), budget,
         f"matrix search exceeded the budget of {budget} candidates",
     )
     examined = 0
@@ -316,7 +299,7 @@ def search_extremal_profile(profile, dmax, budget=DEFAULT_BUDGET) -> SearchOutco
         raise DomainError(f"dmax={dmax} must be at least the largest corner degree {j1}")
     specs = _profile_specs(profile, dmax)
     chains = _budgeted(
-        _chains(profile.n, dmax, lambda d: specs[d], True), budget,
+        _chains(profile.n, dmax, lambda d: specs[d]), budget,
         f"profile search exceeded the budget of {budget} candidates",
     )
     examined = 0

@@ -15,9 +15,8 @@ from dataclasses import dataclass
 from .betti import corners_from_counts, extremal_corners
 from .constructions import subring_lexsegment_ideal
 from .errors import DomainError, InfeasibleProfileError, StableBettiError
-from .ideals import MonomialIdeal, class_degree_counts, graded_component, ideal_sum, is_stable
+from .ideals import MonomialIdeal, class_degree_counts, counts_to_matrix, ideal_sum, is_stable
 from .macaulay import binom, iterated_cumsum_last, macaulay_shift
-from .monomials import max_index
 from .oracle import oracle_betti
 
 
@@ -186,12 +185,10 @@ def nested_lex_ideal(profile: ExtremalProfile) -> MonomialIdeal:
     for p in range(k - 1, 0, -1):
         i_p, j_p, b_p = t[p - 1]
         # ground truth for the forced count: top-class monomials already
-        # present in this degree
-        present = sum(
-            1
-            for u in graded_component(ideal, j_p)
-            if max_index(u) == i_p + 1
-        )
+        # present in this degree, read off the generator counts of the
+        # witness (strongly stable at every step) by the Eliahou-Kervaire
+        # recursion
+        present = counts_to_matrix(class_degree_counts(ideal.gens), profile.n).row(j_p)[i_p]
         if present != forced[p]:
             raise StableBettiError(
                 f"the witness breaks the forced count at corner p={p}: "

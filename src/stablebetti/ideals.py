@@ -312,20 +312,27 @@ def generator_matrix(I: MonomialIdeal) -> GeneratorMatrix:
     return counts_to_matrix(class_degree_counts(I.gens), I.n)
 
 
+def new_generator_row(M: GeneratorMatrix, j: int) -> tuple:
+    """The new-generator counts m_{i,j} = mu_{i,j} - sum_{q<=i} mu_{q,j-1}
+    of row j, by max index i; an entry is negative where row j fails the
+    cumulative inequality."""
+    return tuple(mu - acc for mu, acc in zip(M.row(j), cumsum(M.row(j - 1))))
+
+
 def matrix_to_counts(M: GeneratorMatrix) -> dict:
-    """Recover the new-generator counts m_{i,j} = mu_{i,j} - sum_{q<=i}
-    mu_{q,j-1} from a generator matrix.  Raises if any count would be
-    negative (the cumulative inequality fails)."""
+    """Recover the new-generator counts m_{i,j} from a generator matrix.
+    Raises if any count would be negative (the cumulative inequality
+    fails)."""
     counts = {}
     for j in range(M.jmin, M.jmin + len(M.rows)):
-        for i, (mu, acc) in enumerate(zip(M.row(j), cumsum(M.row(j - 1))), 1):
-            if mu < acc:
+        for i, (mu, m) in enumerate(zip(M.row(j), new_generator_row(M, j)), 1):
+            if m < 0:
                 raise DomainError(
                     f"cumulative inequality fails at (i={i}, j={j}): "
-                    f"mu={mu} < running sum {acc}"
+                    f"mu={mu} < running sum {mu - m}"
                 )
-            if mu > acc:
-                counts[(i, j)] = mu - acc
+            if m:
+                counts[(i, j)] = m
     return counts
 
 

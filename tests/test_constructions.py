@@ -168,7 +168,9 @@ def test_lower_segment_blocks_partition():
                 blocks = lower_segment_blocks(u)
                 union = []
                 for b in blocks:
-                    union.extend(block_monomials(b, n))
+                    mons = block_monomials(b, n)
+                    assert mons == sorted(mons, key=deglex_key, reverse=True)
+                    union.extend(mons)
                 assert len(union) == len(set(union))
                 below = [v for v in enumerate_degree(n, d) if deglex_key(v) < deglex_key(u)]
                 assert set(union) == set(below)

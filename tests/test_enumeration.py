@@ -152,6 +152,19 @@ def test_search_matrix_bounded_note():
     assert (out.certified, out.examined, out.note) == (True, 1, "")
 
 
+def test_search_matrix_negative_target():
+    # row 3 falls below the prefix sums (1, 3, 5) of row 2 in class 3, so
+    # degree 3 asks for -1 new generators there and admits no set
+    M = GeneratorMatrix(3, 2, ((1, 2, 2), (1, 3, 4)))
+    for dmax in (None, 3):
+        out = search_matrix(M, dmax=dmax)
+        assert (out.found, out.certified, out.examined) == (None, True, 0)
+        assert out.note == "no strongly stable ideal has this matrix of generators"
+    out = search_matrix(M, dmax=2)
+    assert (out.found, out.certified, out.examined) == (None, False, 1)
+    assert out.note == "none found with generator degrees <= 2 (bounded search)"
+
+
 def test_search_matrix_below_first_row():
     M = GeneratorMatrix(2, 3, ((1, 2),))
     out = search_matrix(M, dmax=2)

@@ -159,6 +159,10 @@ def test_cli_extremal(capsys):
     assert sb.extremal_from_stable(ideal) == [(2, 4, 1), (3, 2, 1)]
     code, _, err = run_cli(capsys, "extremal", "construct", "--profile", "2,4,2;3,2,2", "--n", "4")
     assert code == 1 and "infeasible" in err
+    # construct prints an ideal file and has no JSON form
+    with pytest.raises(SystemExit) as exc:
+        main(["extremal", "construct", "--profile", "2,4,1;3,2,1", "--n", "4", "--json"])
+    assert exc.value.code == 2
 
 
 def test_cli_extremal_confirmation(capsys):

@@ -34,3 +34,13 @@ def test_script_runs(argv, check):
     )
     assert proc.returncode == 0, proc.stderr
     assert any(check(line) for line in proc.stdout.splitlines()), proc.stdout
+
+
+def test_bench_self_check():
+    # every library name the benchmark wraps must still resolve, and every
+    # metric BENCHMARK.json declares must still be emitted
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "bench" / "run.py"), "--self-check"],
+        capture_output=True, text=True, cwd=ROOT, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
