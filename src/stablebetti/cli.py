@@ -22,13 +22,13 @@ from .constructions import (
     subring_lexsegment_ideal,
 )
 from .enumeration import (
-    DEFAULT_BUDGET,
     count_strongly_stable,
     enumerate_strongly_stable,
     search_extremal_profile,
     search_matrix,
 )
 from .errors import (
+    DEFAULT_BUDGET,
     BudgetExceededError,
     DomainError,
     InfeasibleProfileError,
@@ -44,7 +44,7 @@ from .formats import (
 from .ideals import generator_matrix
 from .macaulay import is_o_sequence, macaulay_rep, macaulay_shift
 from .extremal import check_profile, nested_lex_ideal
-from .oracle import DEFAULT_MULTIDEGREE_BUDGET, oracle_betti
+from .oracle import oracle_betti
 from .verify import run_fixtures
 
 
@@ -321,7 +321,7 @@ def build_parser():
     p.add_argument("--method", choices=["ek", "oracle", "both"], default="ek")
     p.add_argument("--quotient", action="store_true", help="render in the quotient convention")
     p.add_argument("--json", action="store_true")
-    add_budget(p, DEFAULT_MULTIDEGREE_BUDGET)
+    add_budget(p, DEFAULT_BUDGET)
     p.set_defaults(func=_cmd_betti)
 
     p = sub.add_parser("matrix", help="matrix of generators of a strongly stable ideal")

@@ -13,7 +13,6 @@ from .ideals import (
     MonomialIdeal,
     is_strongly_stable,
     matrix_to_counts,
-    minimalize,
     new_generator_row,
     unstable_generator,
 )
@@ -21,7 +20,6 @@ from .macaulay import binom, is_o_sequence, macaulay_rep
 from .monomials import (
     class_size,
     enumerate_degree,
-    kth_biggest_with_max_index,
     max_index,
     monomials_with_max_index,
 )
@@ -110,7 +108,7 @@ def strongly_stable_with_counts(counts) -> MonomialIdeal:
             g[k - 2] += mk - t
         g[k - 1] += t
         gens.append(tuple(g))
-    return minimalize(n, gens)
+    return MonomialIdeal(n, gens)
 
 
 def subring_lexsegment_ideal(ell: int, k: int, d: int, n: int) -> MonomialIdeal:
@@ -124,14 +122,14 @@ def subring_lexsegment_ideal(ell: int, k: int, d: int, n: int) -> MonomialIdeal:
         raise DomainError(
             f"k={k} out of range: binom({ell + d - 2},{ell - 1}) = {bound}"
         )
-    u = kth_biggest_with_max_index(ell, k, d, n)
     pad = (0,) * (n - ell)
     gens = []
     for v in enumerate_degree(ell, d):
-        w = v + pad
-        gens.append(w)
-        if w == u:
-            break
+        gens.append(v + pad)
+        if v[-1]:  # x_ell divides v, so v is one of the k
+            k -= 1
+            if not k:
+                break
     return MonomialIdeal(n, gens)
 
 
@@ -310,9 +308,10 @@ class GreedyResult:
 
 def realize_matrix_greedy(M: GeneratorMatrix) -> GreedyResult:
     """Try to build a strongly stable ideal with matrix of generators M,
-    degree by degree: start from the piecewise lexsegment of the first
-    nonzero row, then at each next degree add the biggest still-missing
-    monomials of every max-index class, count prescribed by the new rows.
+    degree by degree from the zero ideal: at each degree add the biggest
+    still-missing monomials of every max-index class, count prescribed by
+    the new rows (at the first degree this is the piecewise lexsegment of
+    the first row).
 
     Success guarantees the matrix is realized.  Failure reports the first
     degree and class where strong stability breaks or the class runs out
@@ -327,14 +326,9 @@ def realize_matrix_greedy(M: GeneratorMatrix) -> GreedyResult:
     if not canon.rows:
         raise DomainError("zero matrix: no nonzero ideal to realize")
     n = canon.n
-    jmin = canon.jmin
-    first_row = canon.row(jmin)
-    ideal, ss = piecewise_lexsegment(jmin, first_row)
-    if not ss:
-        # cannot happen after the checks above; guard anyway
-        return GreedyResult(None, jmin, None, "first row does not give a strongly stable ideal")
+    ideal = MonomialIdeal.zero(n)
     needs = matrix_to_counts(canon)
-    for j in range(jmin + 1, canon.jmax + 1):
+    for j in range(canon.jmin, canon.jmax + 1):
         new_gens = []
         for i in range(1, n + 1):
             need = needs.get((i, j), 0)
@@ -354,7 +348,8 @@ def realize_matrix_greedy(M: GeneratorMatrix) -> GreedyResult:
                 )
             new_gens.extend(picked)
         if new_gens:
-            ideal = minimalize(n, list(ideal.gens) + new_gens)
+            # outside the ideal and above its degrees, so still minimal
+            ideal = MonomialIdeal(n, ideal.gens + tuple(new_gens))
         witness = unstable_generator(ideal)
         if witness is not None:
             bad = max_index(witness)

@@ -21,13 +21,12 @@ import random
 from dataclasses import dataclass
 
 from .betti import corners_from_counts
-from .errors import BudgetExceededError, DomainError
+from .errors import DEFAULT_BUDGET, BudgetExceededError, DomainError
 from .ideals import GeneratorMatrix, MonomialIdeal, class_degree_counts, new_generator_row
 from .monomials import deglex_key, enumerate_degree, max_index
 
 DEFAULT_ENUM_N = 4
 DEFAULT_ENUM_DMAX = 5
-DEFAULT_BUDGET = 2 * 10**6
 
 
 class _Layer:

@@ -37,6 +37,10 @@ class InfeasibleProfileError(StableBettiError):
         self.check = check
 
 
+# Default of every budget: ideals walked, or multidegrees the oracle scans.
+DEFAULT_BUDGET = 2 * 10**6
+
+
 class BudgetExceededError(StableBettiError, RuntimeError):
     """A search or oracle run hit its resource budget."""
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from .betti import corners_from_counts, extremal_corners
 from .constructions import subring_lexsegment_ideal
 from .errors import DomainError, InfeasibleProfileError, StableBettiError
-from .ideals import MonomialIdeal, class_degree_counts, counts_to_matrix, ideal_sum, is_stable
+from .ideals import MonomialIdeal, class_degree_counts, counts_to_matrix, is_stable
 from .macaulay import binom, iterated_cumsum_last, macaulay_shift
 from .oracle import oracle_betti
 
@@ -194,9 +194,10 @@ def nested_lex_ideal(profile: ExtremalProfile) -> MonomialIdeal:
                 f"the witness breaks the forced count at corner p={p}: "
                 f"{present} top-class monomials present, forced_counts gives {forced[p]}"
             )
-        ideal = ideal_sum(
-            ideal, subring_lexsegment_ideal(i_p + 1, present + b_p, j_p, profile.n)
-        )
+        # the segment lies in degree j_p, above every generator so far, so
+        # its elements outside the ideal are exactly the new minimal ones
+        segment = subring_lexsegment_ideal(i_p + 1, present + b_p, j_p, profile.n).gens
+        ideal = MonomialIdeal(profile.n, ideal.gens + tuple(g for g in segment if not ideal.contains(g)))
     return ideal
 
 

@@ -31,7 +31,7 @@ class MonomialIdeal:
     the initial degree; every other constructor rejects it.
     """
 
-    __slots__ = ("n", "gens", "_gen_set")
+    __slots__ = ("n", "gens")
 
     def __init__(self, n, gens, *, _allow_zero=False):
         gens = tuple(sorted({tuple(g) for g in gens}, key=deglex_key, reverse=True))
@@ -53,7 +53,6 @@ class MonomialIdeal:
                     raise DomainError("generating set is not minimal; use minimalize()")
         self.n = n
         self.gens = gens
-        self._gen_set = frozenset(gens)
 
     @classmethod
     def zero(cls, n):
@@ -78,11 +77,11 @@ class MonomialIdeal:
         return (
             isinstance(other, MonomialIdeal)
             and self.n == other.n
-            and self._gen_set == other._gen_set
+            and self.gens == other.gens
         )
 
     def __hash__(self):
-        return hash((self.n, self._gen_set))
+        return hash((self.n, self.gens))
 
     def __repr__(self):
         return f"MonomialIdeal(n={self.n}, gens={list(self.gens)})"

@@ -48,17 +48,17 @@ class MacaulayRep:
         return sum(binom(k, i) for k, i in self.terms())
 
 
-def _greedy_arg(rem, i, cap):
-    # Largest k <= cap with binom(k, i) <= rem; k = i - 1 encodes a zero term.
-    if i == 1:
-        k = rem
-    else:
-        k = i - 1
-        while binom(k + 1, i) <= rem:
-            k += 1
-    if cap is not None and k > cap:
-        k = cap
-    return k
+def _greedy_arg(rem, i):
+    # Largest k >= i - 1 with binom(k, i) <= rem (k = i - 1 encodes a zero
+    # term): double the step above the last k that fits, then halve it.
+    lo, step = i - 1, 1
+    while binom(lo + step, i) <= rem:
+        lo, step = lo + step, 2 * step
+    while step > 1:
+        step //= 2
+        if binom(lo + step, i) <= rem:
+            lo += step
+    return lo
 
 
 @lru_cache(maxsize=65536)
@@ -68,14 +68,14 @@ def macaulay_rep(a: int, d: int) -> MacaulayRep:
         raise DomainError("representation index d must be positive")
     if a < 0:
         raise DomainError("cannot represent a negative integer")
+    # the remainder after term i stays below binom(k(i), i - 1), so each
+    # greedy k(i - 1) is smaller than k(i) and the ks fall strictly
     ks = []
     rem = a
-    cap = None
     for i in range(d, 0, -1):
-        k = _greedy_arg(rem, i, cap)
+        k = _greedy_arg(rem, i)
         ks.append(k)
         rem -= binom(k, i)
-        cap = k - 1
     if rem:
         raise StableBettiError(
             f"the greedy {d}-th Macaulay representation of {a} does not sum to it "

@@ -14,10 +14,8 @@ from dataclasses import dataclass
 from itertools import combinations, product
 
 from .betti import BettiTable
-from .errors import BudgetExceededError, DomainError
+from .errors import DEFAULT_BUDGET, BudgetExceededError, DomainError
 from .ideals import MonomialIdeal
-
-DEFAULT_MULTIDEGREE_BUDGET = 2 * 10**6
 
 
 @dataclass(frozen=True)
@@ -116,8 +114,6 @@ def _ranks_from_faces(faces):
     faces_by_dim = {}
     for f in faces:
         faces_by_dim.setdefault(len(f) - 1, []).append(f)
-    for fs in faces_by_dim.values():
-        fs.sort(key=sorted)
     top = max(faces_by_dim)
     boundary = {k: _boundary_rank(faces_by_dim, k) for k in range(0, top + 2)}
     ranks = {}
@@ -138,7 +134,7 @@ def reduced_homology_ranks(C: SimplicialComplexSmall) -> dict:
 def _membership_table(I: MonomialIdeal, lcm_exp):
     # b in I for every divisor b of the lcm, in one pass over product order:
     # b is in I iff b is a generator or some coordinate decrement stays in I.
-    gen_set = I._gen_set
+    gen_set = set(I.gens)
     table = {}
     ranges = [range(e + 1) for e in lcm_exp]
     for b in product(*ranges):
@@ -154,7 +150,7 @@ def _membership_table(I: MonomialIdeal, lcm_exp):
     return table
 
 
-def oracle_betti(I: MonomialIdeal, budget: int = DEFAULT_MULTIDEGREE_BUDGET) -> BettiTable:
+def oracle_betti(I: MonomialIdeal, budget: int = DEFAULT_BUDGET) -> BettiTable:
     """Exact characteristic-0 Betti table of an arbitrary monomial ideal.
 
     Scans the multidegrees dividing the lcm of the generators; raises

@@ -21,7 +21,7 @@ from .constructions import (
     subring_lexsegment_ideal,
 )
 from .enumeration import search_extremal_profile, search_matrix
-from .errors import BudgetExceededError, InfeasibleProfileError
+from .errors import DEFAULT_BUDGET, BudgetExceededError, InfeasibleProfileError
 from .extremal import (
     ExtremalProfile,
     check_profile,
@@ -203,7 +203,7 @@ _RUNNERS = {
 }
 
 
-def run_fixtures(budget: int = 2 * 10**6) -> list:
+def run_fixtures(budget: int = DEFAULT_BUDGET) -> list:
     """Run every fixture; returns FixtureResult records in file order."""
     results = []
     context = {}

@@ -17,9 +17,15 @@ from stablebetti.constructions import (
     strongly_stable_with_counts,
     subring_lexsegment_ideal,
 )
-from stablebetti.ideals import GeneratorMatrix
+from stablebetti.ideals import GeneratorMatrix, MonomialIdeal
 from stablebetti.macaulay import binom
-from stablebetti.monomials import class_size, deglex_key, enumerate_degree, max_index
+from stablebetti.monomials import (
+    class_size,
+    deglex_key,
+    enumerate_degree,
+    kth_biggest_with_max_index,
+    max_index,
+)
 
 
 def test_piecewise_lexsegment_examples():
@@ -91,6 +97,19 @@ def test_subring_lexsegment_examples():
     assert len(big.gens) == 12
     assert all(max_index(g) <= 3 for g in big.gens)
     assert min(big.gens, key=deglex_key) == (0, 3, 1, 0)
+
+
+def test_subring_lexsegment_matches_kth_biggest_route():
+    # reference: the segment of the first ell variables down to the k-th
+    # biggest monomial of the class
+    for n in range(1, 6):
+        for d in range(1, 6):
+            for ell in range(1, n + 1):
+                segment = [v + (0,) * (n - ell) for v in enumerate_degree(ell, d)]
+                for k in range(1, class_size(ell, d) + 1):
+                    u = kth_biggest_with_max_index(ell, k, d, n)
+                    expected = MonomialIdeal(n, segment[: segment.index(u) + 1])
+                    assert subring_lexsegment_ideal(ell, k, d, n) == expected
 
 
 def test_subring_lexsegment_is_smallest_strongly_stable(corpus_n3):

@@ -3,9 +3,11 @@ import random
 import pytest
 
 import stablebetti as sb
+from stablebetti.constructions import subring_lexsegment_ideal
 from stablebetti.extremal import (
     ExtremalProfile,
     check_profile,
+    forced_counts,
     nested_lex_ideal,
     verify_profile,
     witness_count_vector,
@@ -145,6 +147,32 @@ def test_soundness_random_profiles():
         ideal = nested_lex_ideal(prof)
         assert sb.is_strongly_stable(ideal)
         assert verify_profile(ideal, prof), prof
+        built += 1
+
+
+def nested_lex_by_ideal_sum(prof):
+    """Reference: the witness as an ideal_sum fold of the subring
+    lexsegments, each sum re-minimalized."""
+    t = prof.triples
+    i_k, j_k, b_k = t[-1]
+    ideal = subring_lexsegment_ideal(i_k + 1, b_k, j_k, prof.n)
+    forced = forced_counts(prof)
+    for p in range(prof.k - 1, 0, -1):
+        i_p, j_p, b_p = t[p - 1]
+        ideal = sb.ideal_sum(
+            ideal, subring_lexsegment_ideal(i_p + 1, forced[p] + b_p, j_p, prof.n)
+        )
+    return ideal
+
+
+def test_nested_lex_matches_ideal_sum_fold():
+    rng = random.Random(20261018)
+    built = 0
+    while built < 60:
+        prof = random_profile(rng)
+        if not check_profile(prof).ok:
+            continue
+        assert nested_lex_ideal(prof) == nested_lex_by_ideal_sum(prof), prof
         built += 1
 
 

@@ -69,6 +69,8 @@ def run_cli(capsys, *argv):
 def test_cli_macaulay(capsys):
     code, out, _ = run_cli(capsys, "macaulay", "rep", "5", "2")
     assert code == 0 and "binom(3,2) + binom(2,1)" in out
+    code, out, _ = run_cli(capsys, "macaulay", "rep", "100000000000000000000", "2")
+    assert code == 0 and "binom(14142135624,2) + binom(3266133124,1)" in out
     code, out, _ = run_cli(capsys, "macaulay", "shift", "3", "2", "1")
     assert code == 0 and out.strip() == "4"
     code, out, _ = run_cli(capsys, "macaulay", "oseq", "1,3,2,2")

@@ -26,6 +26,16 @@ def test_minimalize_examples():
     }
 
 
+def test_equal_ideals_hash_equal():
+    gens = [(2, 0, 0), (1, 1, 0), (0, 2, 1)]
+    I = MonomialIdeal(3, gens)
+    J = MonomialIdeal(3, gens[::-1] + gens[:1])
+    assert I == J and hash(I) == hash(J)
+    assert len({I, J}) == 1 and J in {I}
+    assert MonomialIdeal(3, gens[:2]) not in {I}
+    assert MonomialIdeal(4, [g + (0,) for g in gens]) not in {I}
+
+
 def test_unit_ideal_rejected():
     with pytest.raises(sb.UnitIdealError):
         sb.minimalize(2, [(0, 0), (1, 0)])

@@ -70,6 +70,15 @@ def test_rep_reconstitutes_random(a, d):
     assert all(x > y for x, y in zip(rep.ks, rep.ks[1:]))
 
 
+def test_rep_reconstitutes_huge():
+    # coefficients near 10^10 and 10^15: out of reach of a one-step scan
+    for a, d in ((10**20, 2), (10**100, 7)):
+        rep = macaulay_rep(a, d)
+        assert rep.value() == a
+        assert all(x > y for x, y in zip(rep.ks, rep.ks[1:]))
+        assert rep.ks[-1] >= 0
+
+
 def test_rep_rejects_bad_input():
     with pytest.raises(sb.DomainError):
         macaulay_rep(3, 0)
