@@ -6,7 +6,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .errors import DomainError, NotStableError
-from .ideals import MonomialIdeal, generator_counts
+from .ideals import MonomialIdeal, class_degree_counts, generator_counts, is_stable
 from .macaulay import binom
 
 
@@ -33,9 +33,6 @@ class BettiTable:
     def beta(self, i: int, j: int) -> int:
         return self.entries.get((i, j), 0)
 
-    def total(self, i: int) -> int:
-        return sum(b for (k, _), b in self.entries.items() if k == i)
-
     @property
     def is_empty(self):
         return not self.entries
@@ -60,13 +57,11 @@ def ek_betti(I: MonomialIdeal) -> BettiTable:
     formula: beta_{i,i+d} = sum_k binom(k-1, i) * m_{k,d}."""
     if I.is_zero:
         return BettiTable(I.n, {})
-    try:
-        counts = generator_counts(I)
-    except NotStableError:
+    if not is_stable(I):
         raise NotStableError(
             "the closed formula needs a stable ideal; use oracle_betti for arbitrary input"
         )
-    return betti_from_counts(counts, I.n)
+    return betti_from_counts(class_degree_counts(I.gens), I.n)
 
 
 def counts_from_betti(T: BettiTable) -> dict:

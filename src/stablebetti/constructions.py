@@ -12,7 +12,6 @@ from .ideals import (
     GeneratorMatrix,
     MonomialIdeal,
     is_strongly_stable,
-    matrix_to_counts,
     new_generator_row,
     unstable_generator,
 )
@@ -233,12 +232,20 @@ class MatrixCheck:
         return [it for it in self.items if not it.ok]
 
 
-def _cumulative_items(M: GeneratorMatrix):
-    items = []
+def _check_rows(M: GeneratorMatrix, row_item) -> MatrixCheck:
+    """One pass over the rows of M: row_item(j, row) judges each nonzero
+    row (zero rows are skipped), and every row gets a cumulative item,
+    listed after all the row items."""
+    items, cumulative = [], []
     for j in range(M.jmin, M.jmin + len(M.rows)):
-        for i, (mu, m) in enumerate(zip(M.row(j), new_generator_row(M, j)), 1):
+        row = M.row(j)
+        if any(row):
+            items.append(row_item(j, row))
+        else:
+            items.append(MatrixCheckItem(j, "row", True, "zero row skipped"))
+        for i, (mu, m) in enumerate(zip(row, new_generator_row(M, j)), 1):
             if m < 0:
-                items.append(
+                cumulative.append(
                     MatrixCheckItem(
                         j,
                         "cumulative",
@@ -248,50 +255,37 @@ def _cumulative_items(M: GeneratorMatrix):
                 )
                 break
         else:
-            items.append(MatrixCheckItem(j, "cumulative", True, "row dominates previous-row prefix sums"))
-    return items
+            cumulative.append(MatrixCheckItem(j, "cumulative", True, "row dominates previous-row prefix sums"))
+    items.extend(cumulative)
+    return MatrixCheck(all(it.ok for it in items), tuple(items))
+
+
+def _o_sequence_item(j, row):
+    if not is_o_sequence(row):
+        return MatrixCheckItem(j, "row", False, f"{row} is not an O-sequence")
+    if len(row) >= 2 and row[1] > j:
+        return MatrixCheckItem(j, "row", False, f"second entry {row[1]} exceeds the degree {j}")
+    return MatrixCheckItem(j, "row", True, "O-sequence with bounded second entry")
+
+
+def _lexsegment_item(j, row):
+    if is_lexsegment_count_vector(row, j):
+        return MatrixCheckItem(j, "row", True, f"degree-{j} lexsegment count vector")
+    return MatrixCheckItem(j, "row", False, f"{row} is not a degree-{j} lexsegment count vector")
 
 
 def check_matrix_necessary(M: GeneratorMatrix) -> MatrixCheck:
     """Necessary conditions on a matrix of generators: every nonzero row
     is an O-sequence with second entry at most the row degree, and every
     row entrywise dominates the prefix sums of the previous row."""
-    items = []
-    for j in range(M.jmin, M.jmin + len(M.rows)):
-        row = M.row(j)
-        if not any(row):
-            items.append(MatrixCheckItem(j, "row", True, "zero row skipped"))
-            continue
-        if not is_o_sequence(row):
-            items.append(MatrixCheckItem(j, "row", False, f"{row} is not an O-sequence"))
-        elif M.n >= 2 and row[1] > j:
-            items.append(
-                MatrixCheckItem(j, "row", False, f"second entry {row[1]} exceeds the degree {j}")
-            )
-        else:
-            items.append(MatrixCheckItem(j, "row", True, "O-sequence with bounded second entry"))
-    items.extend(_cumulative_items(M))
-    return MatrixCheck(all(it.ok for it in items), tuple(items))
+    return _check_rows(M, _o_sequence_item)
 
 
 def check_matrix_lexsegment(M: GeneratorMatrix) -> MatrixCheck:
     """Exact characterization of matrices of generators of lexsegment
     ideals: every nonzero row j is the count vector of a degree-j
     lexsegment, plus the cumulative inequality."""
-    items = []
-    for j in range(M.jmin, M.jmin + len(M.rows)):
-        row = M.row(j)
-        if not any(row):
-            items.append(MatrixCheckItem(j, "row", True, "zero row skipped"))
-            continue
-        if is_lexsegment_count_vector(row, j):
-            items.append(MatrixCheckItem(j, "row", True, f"degree-{j} lexsegment count vector"))
-        else:
-            items.append(
-                MatrixCheckItem(j, "row", False, f"{row} is not a degree-{j} lexsegment count vector")
-            )
-    items.extend(_cumulative_items(M))
-    return MatrixCheck(all(it.ok for it in items), tuple(items))
+    return _check_rows(M, _lexsegment_item)
 
 
 @dataclass(frozen=True)
@@ -327,11 +321,10 @@ def realize_matrix_greedy(M: GeneratorMatrix) -> GreedyResult:
         raise DomainError("zero matrix: no nonzero ideal to realize")
     n = canon.n
     ideal = MonomialIdeal.zero(n)
-    needs = matrix_to_counts(canon)
     for j in range(canon.jmin, canon.jmax + 1):
         new_gens = []
-        for i in range(1, n + 1):
-            need = needs.get((i, j), 0)
+        # nonnegative: check_matrix_necessary passed the cumulative inequality
+        for i, need in enumerate(new_generator_row(canon, j), 1):
             if need == 0:
                 continue
             picked = []

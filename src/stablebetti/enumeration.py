@@ -241,6 +241,8 @@ def search_matrix(M: GeneratorMatrix, dmax=None, budget=DEFAULT_BUDGET) -> Searc
     canonical matrix, so searching through its last row degree is
     complete and a miss is a certificate.
     """
+    if dmax is not None and dmax < 1:
+        raise DomainError(f"dmax={dmax} must be at least 1")
     canon = M.canonical()
     if not canon.rows:
         raise DomainError("zero matrix: nothing to search for")
@@ -312,9 +314,10 @@ def search_extremal_profile(profile, dmax, budget=DEFAULT_BUDGET) -> SearchOutco
     )
 
 
-def random_strongly_stable(n, dmax, rng: random.Random, max_new=3) -> MonomialIdeal:
+def random_strongly_stable(n, dmax, rng: random.Random) -> MonomialIdeal:
     """A random nonzero strongly stable ideal with generator degrees
-    <= dmax, drawn by extending a random chain degree by degree."""
+    <= dmax, drawn by extending a random chain degree by degree with up
+    to three new generators per degree."""
     if n < 1 or dmax < 1:
         raise DomainError("need n >= 1 and dmax >= 1")
     layers = _linked_layers(n, dmax)
@@ -324,7 +327,7 @@ def random_strongly_stable(n, dmax, rng: random.Random, max_new=3) -> MonomialId
         for di, layer in enumerate(layers):
             base = mask
             cur = base
-            want = rng.randint(0, max_new)
+            want = rng.randint(0, 3)
             for _ in range(want):
                 addable = [
                     t

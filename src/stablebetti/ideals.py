@@ -155,22 +155,27 @@ def is_stable(I: MonomialIdeal) -> bool:
 
 
 def unstable_generator(I: MonomialIdeal):
-    """First generator u (deglex descending) with an exchange
-    (u / x_j) x_i, x_j | u and i < j, outside the ideal; None when there
-    is none."""
+    """First generator u (deglex descending) with an adjacent exchange
+    (u / x_j) x_{j-1}, x_j | u, outside the ideal; None when there is
+    none.
+
+    Adjacent exchanges decide strong stability.  If every generator's
+    adjacent exchanges stay in I, so do every monomial's: for v = u w
+    with x_j | v, (v / x_j) x_{j-1} is ((u / x_j) x_{j-1}) w when x_j | u
+    and u ((w / x_j) x_{j-1}) otherwise.  Composing j -> j-1 -> ... -> i
+    then gives every exchange (v / x_j) x_i, i < j.  The chain walk in
+    enumeration moves by the same rule."""
     for g in I.gens:
         for j in range(2, I.n + 1):
-            if g[j - 1] == 0:
-                continue
-            for i in range(1, j):
-                if not I.contains(swap_variable(g, j, i)):
-                    return g
+            if g[j - 1] and not I.contains(swap_variable(g, j, j - 1)):
+                return g
     return None
 
 
 def is_strongly_stable(I: MonomialIdeal) -> bool:
-    """Each generator admits every exchange (u / x_j) x_i for x_j | u and
-    i < j inside the ideal."""
+    """Each monomial u of I admits every exchange (u / x_j) x_i for
+    x_j | u and i < j inside the ideal; decided on the generators'
+    adjacent exchanges (see unstable_generator)."""
     return unstable_generator(I) is None
 
 

@@ -34,10 +34,6 @@ class SimplicialComplexSmall:
                 if f - {v} not in self.faces:
                     raise DomainError("face set is not downward closed")
 
-    @property
-    def dim(self):
-        return max((len(f) for f in self.faces), default=0) - 1
-
 
 def _koszul_faces(b, inside) -> list:
     """Squarefree subsets tau of the support of b, as sets of 1-based

@@ -239,6 +239,30 @@ def test_check_matrix_necessary_examples():
     assert any(it.j == 6 and it.condition == "cumulative" for it in chk.failures())
 
 
+def test_checker_items_pinned():
+    # a leading zero row, a row failing each checker and a cumulative failure
+    M = GeneratorMatrix(3, 1, ((0, 0, 0), (1, 3, 0), (1, 3, 4)))
+    cumulative = (
+        (1, "cumulative", True, "row dominates previous-row prefix sums"),
+        (2, "cumulative", True, "row dominates previous-row prefix sums"),
+        (3, "cumulative", False, "mu_{2,3} = 3 < 4 = sum of previous row up to 2"),
+    )
+    necessary = (
+        (1, "row", True, "zero row skipped"),
+        (2, "row", False, "second entry 3 exceeds the degree 2"),
+        (3, "row", True, "O-sequence with bounded second entry"),
+    ) + cumulative
+    lexsegment = (
+        (1, "row", True, "zero row skipped"),
+        (2, "row", False, "(1, 3, 0) is not a degree-2 lexsegment count vector"),
+        (3, "row", True, "degree-3 lexsegment count vector"),
+    ) + cumulative
+    for check, expected in ((check_matrix_necessary, necessary), (check_matrix_lexsegment, lexsegment)):
+        chk = check(M)
+        assert not chk.ok
+        assert tuple((it.j, it.condition, it.ok, it.detail) for it in chk.items) == expected
+
+
 def test_check_matrix_necessary_universal(corpus_n3):
     for I in corpus_n3:
         assert check_matrix_necessary(sb.generator_matrix(I)).ok
@@ -283,12 +307,17 @@ def test_realize_greedy_success_trace():
 
 
 def test_realize_greedy_failure_on_obstruction():
-    M = GeneratorMatrix(4, 5, ((1, 3, 2, 2), (1, 4, 6, 9)))
-    result = realize_matrix_greedy(M)
-    assert not result.ok
-    assert result.fail_degree == 6
-    assert result.fail_index == 4
-    assert "strong stability" in result.reason
+    for M, degree, index in (
+        (GeneratorMatrix(4, 5, ((1, 3, 2, 2), (1, 4, 6, 9))), 6, 4),
+        # class 4 of 5 variables breaks, not the last class
+        (GeneratorMatrix(5, 3, ((1, 0, 0, 0, 0), (1, 3, 1, 1, 1), (1, 5, 5, 7, 7))), 5, 4),
+        (GeneratorMatrix(5, 2, ((1, 2, 0, 0, 0), (1, 3, 3, 4, 3))), 3, 4),
+    ):
+        result = realize_matrix_greedy(M)
+        assert not result.ok
+        assert result.fail_degree == degree
+        assert result.fail_index == index
+        assert "strong stability" in result.reason
 
 
 def test_realize_greedy_single_row_is_piecewise():

@@ -171,6 +171,13 @@ def test_search_matrix_below_first_row():
     assert out.found is None and not out.certified
 
 
+def test_search_matrix_rejects_nonpositive_dmax():
+    M = GeneratorMatrix(2, 1, ((1, 1),))
+    for dmax in (0, -1):
+        with pytest.raises(sb.DomainError, match=f"dmax={dmax} must be at least 1"):
+            search_matrix(M, dmax=dmax)
+
+
 def test_search_profile_positive_and_negative():
     prof = sb.ExtremalProfile(4, ((2, 4, 1), (3, 2, 1)))
     out = search_extremal_profile(prof, 4)

@@ -200,6 +200,9 @@ def test_cli_enumerate_and_search(tmp_path, capsys):
     mfile.write_text("n=4 jmin=2\n1 2 0 0\n1 3 3 4\n")
     code, out, _ = run_cli(capsys, "search", "matrix", str(mfile))
     assert code == 1 and "certified" in out
+    for dmax in ("0", "-1"):
+        code, _, err = run_cli(capsys, "search", "matrix", str(mfile), "--dmax", dmax)
+        assert code == 2 and f"dmax={dmax} must be at least 1" in err
 
     code, out, _ = run_cli(capsys, "search", "profile", "--profile", "2,4,1;3,2,1", "--n", "4")
     assert code == 0

@@ -133,6 +133,35 @@ def test_generator_criterion_matches_full_space(corpus_n3):
         assert sb.is_strongly_stable(I) == full_space_strongly_stable(I)
 
 
+def all_pairs_strongly_stable(I):
+    """Reference: every exchange (u / x_j) x_i, i < j, of every generator."""
+    return all(
+        I.contains(swap_variable(g, j, i))
+        for g in I.gens
+        for j in range(2, I.n + 1)
+        if g[j - 1]
+        for i in range(1, j)
+    )
+
+
+def test_adjacent_exchanges_match_all_pairs():
+    rng = random.Random(11)
+    verdicts = []
+    for n in range(1, 6):
+        for _ in range(150):
+            raw = [tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(rng.randint(1, 6))]
+            raw = [g for g in raw if any(g)] or [(1,) + (0,) * (n - 1)]
+            stable = sb.random_strongly_stable(n, rng.randint(1, 4), rng)
+            # dropping a generator of a strongly stable ideal often breaks it
+            gens = list(stable.gens)
+            gens.pop(rng.randrange(len(gens)))
+            for I in (sb.minimalize(n, raw), stable, MonomialIdeal(n, gens) if gens else stable):
+                verdict = sb.is_strongly_stable(I)
+                assert verdict == all_pairs_strongly_stable(I), I
+                verdicts.append(verdict)
+    assert verdicts.count(True) > 500 and verdicts.count(False) > 500
+
+
 def test_piecewise_up_to():
     J, _ = sb.piecewise_lexsegment(5, (1, 3, 2, 2))
     assert sb.is_piecewise_lex_up_to(J, 4)

@@ -18,14 +18,16 @@ from stablebetti.macaulay import (
 from stablebetti.monomials import enumerate_degree
 
 
-def rep_by_search(a, d):
-    """Oracle: all strictly decreasing tuples (k_d > ... > k_1 >= 0) whose
-    binomial sum is a."""
-    kmax = a + d
-    hits = []
-    for ks in combinations(range(kmax, -1, -1), d):
-        if sum(binom(k, i) for k, i in zip(ks, range(d, 0, -1))) == a:
-            hits.append(ks)
+def reps_by_search(amax, d):
+    """Oracle: for each a < amax, all strictly decreasing tuples
+    (k_d > ... > k_1 >= 0) whose binomial sum is a, from one pass over
+    the tuples with k_d < amax + d (a larger k_d alone gives
+    binom(k_d, d) > a)."""
+    hits = {a: [] for a in range(amax)}
+    for ks in combinations(range(amax + d - 1, -1, -1), d):
+        a = sum(binom(k, i) for k, i in zip(ks, range(d, 0, -1)))
+        if a in hits:
+            hits[a].append(ks)
     return hits
 
 
@@ -47,8 +49,7 @@ def test_rep_examples():
 
 def test_rep_unique_against_search():
     for d in (1, 2, 3):
-        for a in range(0, 40):
-            hits = rep_by_search(a, d)
+        for a, hits in reps_by_search(40, d).items():
             assert len(hits) == 1, (a, d, hits)
             assert macaulay_rep(a, d).ks == hits[0]
 
@@ -101,8 +102,7 @@ def test_shift_identity_and_upper():
             assert macaulay_shift(a, d, 0) == a
     # independent route for the upper shift: search-based representation
     for d in range(1, 5):
-        for a in range(0, 60):
-            (ks,) = rep_by_search(a, d)
+        for a, (ks,) in reps_by_search(60, d).items():
             expected = sum(binom(k + 1, i + 1) for k, i in zip(ks, range(d, 0, -1)))
             assert macaulay_shift(a, d, 1) == expected
 
