@@ -32,7 +32,7 @@ def experiment_one():
     profile = sb.ExtremalProfile(4, ((2, 4, 2), (3, 2, 2)))
     verdict = sb.check_profile(profile)
     t0 = time.monotonic()
-    outcome = sb.search_extremal_profile(profile, 4)
+    outcome = sb.search_extremal_profile(profile)
     dt = time.monotonic() - t0
     print(f"condition verdict for b=2: {'pass' if verdict.ok else 'fail'}")
     print(
@@ -61,7 +61,7 @@ def experiment_two():
     for n in (4, 5):
         probe = sb.ExtremalProfile(n, prof.triples)
         t0 = time.monotonic()
-        outcome = sb.search_extremal_profile(probe, 4)
+        outcome = sb.search_extremal_profile(probe)
         dt = time.monotonic() - t0
         print(
             f"certified search in n={n}: {'found' if outcome.ok else 'none'} "

@@ -165,10 +165,7 @@ def _cmd_realize_matrix(args):
 
 def _cmd_construct(args):
     if args.construction == "piecewise-lex":
-        counts = _parse_counts(args.counts)
-        if args.n is not None and args.n != len(counts):
-            raise MalformedInputError("count vector length must equal n")
-        ideal, ss = piecewise_lexsegment(args.d, counts)
+        ideal, ss = piecewise_lexsegment(args.d, _parse_counts(args.counts))
         print(f"# strongly stable: {'true' if ss else 'false'}")
     elif args.construction == "murai":
         ideal = strongly_stable_with_counts(_parse_counts(args.counts))
@@ -186,7 +183,7 @@ def _search_confirmation(profile, budget):
     j1 = profile.triples[0][1]
     if profile.n > 4 or j1 > 5:
         return "search confirmation only offered for n <= 4 and corner degrees <= 5"
-    outcome = search_extremal_profile(profile, j1, budget=budget)
+    outcome = search_extremal_profile(profile, budget=budget)
     if outcome.found is None:
         return (
             f"confirmed by exhaustive search: no strongly stable ideal within "
@@ -255,16 +252,13 @@ def _cmd_enumerate(args):
 def _cmd_search(args):
     if args.target == "matrix":
         M = parse_matrix_text(_read(args.matrix_file))
-        outcome = search_matrix(M, dmax=args.dmax, budget=args.budget)
+        outcome = search_matrix(M, budget=args.budget)
     else:
-        profile = parse_profile(args.profile, args.n)
-        dmax = args.dmax if args.dmax is not None else profile.triples[0][1]
-        outcome = search_extremal_profile(profile, dmax, budget=args.budget)
+        outcome = search_extremal_profile(parse_profile(args.profile, args.n), budget=args.budget)
     if outcome.ok:
         print(format_ideal(outcome.found), end="")
         return 0
-    kind = "certified: " if outcome.certified else ""
-    print(f"none found ({kind}{outcome.note}; {outcome.examined} candidates examined)")
+    print(f"none found (certified: {outcome.note}; {outcome.examined} candidates examined)")
     return 1
 
 
@@ -342,7 +336,6 @@ def build_parser():
     p = sub.add_parser("construct", help="build one of the named ideals")
     csub = p.add_subparsers(dest="construction", required=True)
     q = csub.add_parser("piecewise-lex")
-    q.add_argument("--n", type=int, default=None)
     q.add_argument("--d", type=int, required=True)
     q.add_argument("--counts", required=True)
     q.set_defaults(func=_cmd_construct)
@@ -388,13 +381,11 @@ def build_parser():
     ssub = p.add_subparsers(dest="target", required=True)
     q = ssub.add_parser("matrix")
     q.add_argument("matrix_file")
-    q.add_argument("--dmax", type=int, default=None)
     add_budget(q, DEFAULT_BUDGET)
     q.set_defaults(func=_cmd_search)
     q = ssub.add_parser("profile")
     q.add_argument("--profile", required=True)
     q.add_argument("--n", type=int, required=True)
-    q.add_argument("--dmax", type=int, default=None)
     add_budget(q, DEFAULT_BUDGET)
     q.set_defaults(func=_cmd_search)
 

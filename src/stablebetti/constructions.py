@@ -340,10 +340,13 @@ def realize_matrix_greedy(M: GeneratorMatrix) -> GreedyResult:
                     f"found {len(picked)}",
                 )
             new_gens.extend(picked)
-        if new_gens:
-            # outside the ideal and above its degrees, so still minimal
-            ideal = MonomialIdeal(n, ideal.gens + tuple(new_gens))
-        witness = unstable_generator(ideal)
+        if not new_gens:
+            continue
+        # outside the ideal and above its degrees, so still minimal
+        ideal = MonomialIdeal(n, ideal.gens + tuple(new_gens))
+        # lower degrees passed at their own step and the ideal only grew,
+        # so only this degree's generators, the leading block, need the test
+        witness = unstable_generator(ideal.gens[:len(new_gens)], ideal.contains)
         if witness is not None:
             bad = max_index(witness)
             return GreedyResult(

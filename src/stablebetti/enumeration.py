@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from .betti import corners_from_counts
 from .errors import DEFAULT_BUDGET, BudgetExceededError, DomainError
 from .ideals import GeneratorMatrix, MonomialIdeal, class_degree_counts, new_generator_row
-from .monomials import deglex_key, enumerate_degree, max_index
+from .monomials import deglex_key, enumerate_degree, max_index, swap_variable
 
 DEFAULT_ENUM_N = 4
 DEFAULT_ENUM_DMAX = 5
@@ -45,10 +45,7 @@ class _Layer:
             mask = 0
             for j in range(2, n + 1):
                 if u[j - 1]:
-                    w = list(u)
-                    w[j - 1] -= 1
-                    w[j - 2] += 1
-                    mask |= 1 << self.index[tuple(w)]
+                    mask |= 1 << self.index[swap_variable(u, j, j - 1)]
             self.parents.append(mask)
         # class_masks[i-1]: the positions of the monomials with max index i
         self.class_masks = [0] * n
@@ -191,10 +188,11 @@ def _ideal_chains(n, dmax, budget):
             partial_count=0,
         )
     cap = budget if budget is not None else DEFAULT_BUDGET
-    return _budgeted(
-        _chains(n, dmax, lambda d: None), cap,
-        f"enumeration exceeded the budget of {cap} ideals",
-    )
+    message = f"enumeration exceeded the budget of {cap} ideals"
+    if cap == 0:
+        # every bound has the nonempty chain (x_1), so no layer is needed
+        raise BudgetExceededError(message, partial_count=0)
+    return _budgeted(_chains(n, dmax, lambda d: None), cap, message)
 
 
 def enumerate_strongly_stable(n, dmax, budget=None):
@@ -220,12 +218,11 @@ def count_strongly_stable(n, dmax, budget=None) -> int:
 
 @dataclass(frozen=True)
 class SearchOutcome:
-    """Result of a bounded search: the first hit, or a none-report that
-    is a genuine non-existence certificate when the bounds provably cover
-    every candidate."""
+    """Result of a complete search: the first hit, or a none-report that
+    is a non-existence certificate, since each search walks to a depth
+    that covers every candidate."""
 
     found: object  # MonomialIdeal or None
-    certified: bool
     examined: int
     note: str = ""
 
@@ -234,81 +231,63 @@ class SearchOutcome:
         return self.found is not None
 
 
-def search_matrix(M: GeneratorMatrix, dmax=None, budget=DEFAULT_BUDGET) -> SearchOutcome:
+def search_matrix(M: GeneratorMatrix, *, budget=DEFAULT_BUDGET) -> SearchOutcome:
     """First strongly stable ideal whose matrix of generators equals M.
 
     Any such ideal has all generators within the degree range of the
-    canonical matrix, so searching through its last row degree is
-    complete and a miss is a certificate.
+    canonical matrix, so the search walks through its last row degree and
+    a miss is a certificate.
     """
-    if dmax is not None and dmax < 1:
-        raise DomainError(f"dmax={dmax} must be at least 1")
     canon = M.canonical()
     if not canon.rows:
         raise DomainError("zero matrix: nothing to search for")
     jmax = canon.jmax
-    depth = jmax if dmax is None else min(dmax, jmax)
-    certified = depth >= jmax
-
     # the shadow of a chain matching rows 1..d-1 holds the prefix sums of
-    # row d-1, so the new generators pin row d; once depth reaches the
-    # last row each chain has exactly this matrix
-    pins = {d: new_generator_row(canon, d) for d in range(1, depth + 1)}
+    # row d-1, so the new generators pin row d; at the last row each
+    # chain has exactly this matrix
+    pins = {d: new_generator_row(canon, d) for d in range(1, jmax + 1)}
     chains = _budgeted(
-        _chains(canon.n, depth, pins.__getitem__), budget,
+        _chains(canon.n, jmax, pins.__getitem__), budget,
         f"matrix search exceeded the budget of {budget} candidates",
     )
-    examined = 0
-    for examined, gens in enumerate(chains, 1):
-        if certified:
-            return SearchOutcome(MonomialIdeal(canon.n, gens), True, examined)
-    note = (
-        "no strongly stable ideal has this matrix of generators"
-        if certified
-        else f"none found with generator degrees <= {depth} (bounded search)"
-    )
-    return SearchOutcome(None, certified, examined, note)
+    gens = next(chains, None)
+    if gens is None:
+        return SearchOutcome(None, 0, "no strongly stable ideal has this matrix of generators")
+    return SearchOutcome(MonomialIdeal(canon.n, gens), 1)
 
 
-def _profile_specs(profile, dmax):
+def _profile_specs(profile):
     n = profile.n
-    specs = {d: [None] * n for d in range(1, dmax + 1)}
     j1 = profile.triples[0][1]
-    for d in range(j1 + 1, dmax + 1):
-        specs[d] = [0] * n
+    specs = {d: [None] * n for d in range(1, j1 + 1)}
     for (ip, jp, bp) in profile.triples:
-        for d in range(1, dmax + 1):
-            for i in range(1, n + 1):
+        for d in range(jp, j1 + 1):
+            for i in range(ip + 1, n + 1):
                 # class i at degree d feeds the table position (i-1, d)
-                if i - 1 >= ip and d >= jp and (i - 1, d) != (ip, jp):
+                if (i - 1, d) != (ip, jp):
                     specs[d][i - 1] = 0
     for (ip, jp, bp) in profile.triples:
-        if jp <= dmax:
-            specs[jp][ip] = bp
+        specs[jp][ip] = bp
     return specs
 
 
-def search_extremal_profile(profile, dmax, budget=DEFAULT_BUDGET) -> SearchOutcome:
+def search_extremal_profile(profile, *, budget=DEFAULT_BUDGET) -> SearchOutcome:
     """First strongly stable ideal whose extremal corners are exactly the
-    profile.  Requires dmax >= the profile's largest row degree j_1; the
-    search is then complete, because the top nonzero row of a Betti table
-    always contains an extremal corner, so a realizing ideal cannot have
-    generators above degree j_1.
+    profile.  The search walks through the largest corner degree j_1 and
+    is complete: the top nonzero row of a Betti table always contains an
+    extremal corner, so a realizing ideal has no generators above j_1.
     """
-    j1 = profile.triples[0][1]
-    if dmax < j1:
-        raise DomainError(f"dmax={dmax} must be at least the largest corner degree {j1}")
-    specs = _profile_specs(profile, dmax)
+    specs = _profile_specs(profile)
     chains = _budgeted(
-        _chains(profile.n, dmax, lambda d: specs[d]), budget,
+        _chains(profile.n, profile.triples[0][1], specs.__getitem__), budget,
         f"profile search exceeded the budget of {budget} candidates",
     )
     examined = 0
     for examined, gens in enumerate(chains, 1):
         if tuple(corners_from_counts(class_degree_counts(gens))) == profile.triples:
-            return SearchOutcome(MonomialIdeal(profile.n, gens), True, examined)
+            return SearchOutcome(MonomialIdeal(profile.n, gens), examined)
     return SearchOutcome(
-        None, True, examined,
+        None, examined,
         "no strongly stable ideal (hence, in characteristic 0, no homogeneous "
         "ideal) has exactly these extremal corners",
     )

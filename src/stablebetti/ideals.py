@@ -154,10 +154,10 @@ def is_stable(I: MonomialIdeal) -> bool:
     return True
 
 
-def unstable_generator(I: MonomialIdeal):
-    """First generator u (deglex descending) with an adjacent exchange
-    (u / x_j) x_{j-1}, x_j | u, outside the ideal; None when there is
-    none.
+def unstable_generator(gens, inside):
+    """First of the given generators u with an adjacent exchange
+    (u / x_j) x_{j-1}, x_j | u, that inside rejects; None when there is
+    none.  is_strongly_stable passes I.gens and I.contains.
 
     Adjacent exchanges decide strong stability.  If every generator's
     adjacent exchanges stay in I, so do every monomial's: for v = u w
@@ -165,9 +165,9 @@ def unstable_generator(I: MonomialIdeal):
     and u ((w / x_j) x_{j-1}) otherwise.  Composing j -> j-1 -> ... -> i
     then gives every exchange (v / x_j) x_i, i < j.  The chain walk in
     enumeration moves by the same rule."""
-    for g in I.gens:
-        for j in range(2, I.n + 1):
-            if g[j - 1] and not I.contains(swap_variable(g, j, j - 1)):
+    for g in gens:
+        for j in range(2, len(g) + 1):
+            if g[j - 1] and not inside(swap_variable(g, j, j - 1)):
                 return g
     return None
 
@@ -176,7 +176,7 @@ def is_strongly_stable(I: MonomialIdeal) -> bool:
     """Each monomial u of I admits every exchange (u / x_j) x_i for
     x_j | u and i < j inside the ideal; decided on the generators'
     adjacent exchanges (see unstable_generator)."""
-    return unstable_generator(I) is None
+    return unstable_generator(I.gens, I.contains) is None
 
 
 def is_lexsegment(I: MonomialIdeal) -> bool:

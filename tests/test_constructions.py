@@ -1,8 +1,10 @@
+import random
 from itertools import product
 
 import pytest
 
 import stablebetti as sb
+from stablebetti import constructions
 from stablebetti.constructions import (
     Block,
     block_monomials,
@@ -318,6 +320,29 @@ def test_realize_greedy_failure_on_obstruction():
         assert result.fail_degree == degree
         assert result.fail_index == index
         assert "strong stability" in result.reason
+
+
+def test_realize_greedy_tests_each_generator_once(monkeypatch):
+    # lower degrees passed at their own step, so the stability test sees
+    # each generator once: the degree's new ones
+    scanned = []
+    real = constructions.unstable_generator
+
+    def counting(gens, inside):
+        scanned.append(len(gens))
+        return real(gens, inside)
+
+    monkeypatch.setattr(constructions, "unstable_generator", counting)
+    rng = random.Random(5)
+    realized = 0
+    for _ in range(40):
+        M = sb.generator_matrix(sb.random_strongly_stable(5, 5, rng))
+        scanned.clear()
+        result = realize_matrix_greedy(M)
+        if result.ok:
+            assert sum(scanned) == len(result.ideal.gens)
+            realized += 1
+    assert realized > 20
 
 
 def test_realize_greedy_single_row_is_piecewise():

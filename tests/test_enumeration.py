@@ -98,9 +98,23 @@ def test_small_budget_stops_a_deep_walk_at_once():
         list(enumerate_strongly_stable(4, 12, budget=1))
     assert err.value.partial_count == 1
     with pytest.raises(sb.BudgetExceededError) as err:
-        search_extremal_profile(sb.ExtremalProfile(4, ((2, 12, 2),)), 12, budget=0)
+        search_extremal_profile(sb.ExtremalProfile(4, ((2, 12, 2),)), budget=0)
     assert err.value.partial_count == 0
     assert time.perf_counter() - start < 2.0
+
+
+def test_budget_zero_builds_no_layers():
+    # every bound holds the chain (x_1), so budget 0 stops before the
+    # walk builds a layer; (11, 9) has 92,378 monomials of degree 9
+    start = time.perf_counter()
+    with pytest.raises(sb.BudgetExceededError) as err:
+        count_strongly_stable(11, 9, budget=0)
+    assert err.value.partial_count == 0
+    assert str(err.value) == "enumeration exceeded the budget of 0 ideals"
+    with pytest.raises(sb.BudgetExceededError) as err:
+        next(enumerate_strongly_stable(11, 9, budget=0))
+    assert err.value.partial_count == 0
+    assert time.perf_counter() - start < 1.0
 
 
 def test_count_matches_enumeration():
@@ -115,7 +129,7 @@ def test_search_matrix_obstructions():
         assert sb.check_matrix_necessary(M).ok
         out = search_matrix(M)
         assert out.found is None
-        assert out.certified
+        assert out.note == "no strongly stable ideal has this matrix of generators"
     # the first family reduces to an infeasible total count vector
     counts = sb.matrix_to_counts(A)
     totals = [0] * 4
@@ -137,66 +151,54 @@ def test_search_matrix_bounded_note():
     # trailing implied rows collapse: this is the matrix of (x_1)
     M = GeneratorMatrix(2, 1, ((1, 0), (1, 1), (1, 2)))
     assert M.canonical().rows == ((1, 0),)
-    out = search_matrix(M, dmax=2)
+    out = search_matrix(M)
     assert out.found == MonomialIdeal(2, [(1, 0)])
-    assert (out.certified, out.examined, out.note) == (True, 1, "")
-    # a genuinely two-row matrix searched below its last row degree
+    assert (out.examined, out.note) == (1, "")
+    # a genuinely two-row matrix: the search walks through its last row
     M2 = GeneratorMatrix(2, 1, ((1, 0), (1, 2)))
-    out = search_matrix(M2, dmax=1)
-    assert out.found is None
-    assert (out.certified, out.examined, out.note) == (
-        False, 1, "none found with generator degrees <= 1 (bounded search)"
-    )
     out = search_matrix(M2)
     assert out.found == MonomialIdeal(2, [(1, 0), (0, 2)])
-    assert (out.certified, out.examined, out.note) == (True, 1, "")
+    assert (out.examined, out.note) == (1, "")
 
 
 def test_search_matrix_negative_target():
     # row 3 falls below the prefix sums (1, 3, 5) of row 2 in class 3, so
     # degree 3 asks for -1 new generators there and admits no set
     M = GeneratorMatrix(3, 2, ((1, 2, 2), (1, 3, 4)))
-    for dmax in (None, 3):
-        out = search_matrix(M, dmax=dmax)
-        assert (out.found, out.certified, out.examined) == (None, True, 0)
-        assert out.note == "no strongly stable ideal has this matrix of generators"
-    out = search_matrix(M, dmax=2)
-    assert (out.found, out.certified, out.examined) == (None, False, 1)
-    assert out.note == "none found with generator degrees <= 2 (bounded search)"
+    out = search_matrix(M)
+    assert (out.found, out.examined) == (None, 0)
+    assert out.note == "no strongly stable ideal has this matrix of generators"
 
 
-def test_search_matrix_below_first_row():
-    M = GeneratorMatrix(2, 3, ((1, 2),))
-    out = search_matrix(M, dmax=2)
-    assert out.found is None and not out.certified
-
-
-def test_search_matrix_rejects_nonpositive_dmax():
+def test_search_depth_is_not_a_parameter():
+    # each search walks to the depth its input fixes; a stale positional
+    # depth is refused rather than taken as the budget
     M = GeneratorMatrix(2, 1, ((1, 1),))
-    for dmax in (0, -1):
-        with pytest.raises(sb.DomainError, match=f"dmax={dmax} must be at least 1"):
-            search_matrix(M, dmax=dmax)
+    prof = sb.ExtremalProfile(4, ((2, 4, 1), (3, 2, 1)))
+    with pytest.raises(TypeError):
+        search_matrix(M, 2)
+    with pytest.raises(TypeError):
+        search_matrix(M, dmax=2)
+    with pytest.raises(TypeError):
+        search_extremal_profile(prof, 4)
 
 
 def test_search_profile_positive_and_negative():
     prof = sb.ExtremalProfile(4, ((2, 4, 1), (3, 2, 1)))
-    out = search_extremal_profile(prof, 4)
+    out = search_extremal_profile(prof)
     assert out.found is not None
     assert sb.extremal_from_stable(out.found) == list(prof.triples)
 
     bad = sb.ExtremalProfile(4, ((2, 4, 5), (3, 2, 1)))
     assert not sb.check_profile(bad).ok
-    out = search_extremal_profile(bad, 4)
-    assert out.found is None and out.certified
-
-    with pytest.raises(sb.DomainError):
-        search_extremal_profile(prof, 3)
+    out = search_extremal_profile(bad)
+    assert out.found is None and out.note.startswith("no strongly stable ideal")
 
 
 def test_search_budget():
     prof = sb.ExtremalProfile(4, ((2, 4, 1), (3, 2, 1)))
     with pytest.raises(sb.BudgetExceededError):
-        search_extremal_profile(prof, 4, budget=0)
+        search_extremal_profile(prof, budget=0)
 
 
 def test_random_generator_properties():

@@ -215,15 +215,24 @@ def test_growth_bound_used_by_the_decision():
         assert sb.iterated_cumsum_last(lower, q) <= top
 
 
-def test_completeness_small_scale():
+@pytest.fixture(scope="module")
+def realized_corners():
+    """The extremal corners of every strongly stable ideal within each
+    bound (n, dmax), one tuple per ideal."""
+    return {
+        (n, dmax): [tuple(sb.extremal_from_stable(I)) for I in sb.enumerate_strongly_stable(n, dmax)]
+        for n, dmax in ((3, 3), (3, 4), (4, 4))
+    }
+
+
+def test_completeness_small_scale(realized_corners):
     # realized corner sets over every strongly stable ideal within bounds
     # coincide with the numerically admissible profiles
     import itertools
 
     for n, dmax, bcap, ks in ((3, 3, 8, (1, 2)), (4, 4, 12, (1, 2, 3))):
         realized = set()
-        for I in sb.enumerate_strongly_stable(n, dmax):
-            corners = tuple(sb.extremal_from_stable(I))
+        for corners in realized_corners[n, dmax]:
             if all(j >= 1 for _, j, _ in corners):
                 realized.add(corners)
         for k in ks:
@@ -235,12 +244,11 @@ def test_completeness_small_scale():
                         assert (prof.triples in realized) == expected, prof
 
 
-def test_every_realized_corner_set_is_admissible():
+def test_every_realized_corner_set_is_admissible(realized_corners):
     # pure necessity sweep, no caps on values or corner counts
     for n, dmax in ((3, 4), (4, 4)):
         checked = 0
-        for I in sb.enumerate_strongly_stable(n, dmax):
-            corners = tuple(sb.extremal_from_stable(I))
+        for corners in realized_corners[n, dmax]:
             if any(i < 1 or j < 1 for i, j, _ in corners):
                 continue  # column-0 and degree-0 corners sit outside the profile type
             prof = ExtremalProfile(n, corners)
@@ -254,8 +262,8 @@ def test_chained_forcing_adjudication():
     # alone suggests: the naive reading admits it, yet no ideal exists
     prof = ExtremalProfile(4, ((1, 4, 1), (2, 3, 1), (3, 2, 1)))
     assert not check_profile(prof).ok
-    out = sb.search_extremal_profile(prof, 4)
-    assert out.found is None and out.certified
+    out = sb.search_extremal_profile(prof)
+    assert out.found is None and out.note.startswith("no strongly stable ideal")
     # the naive forced count would have been cumsum((1,1)) = 2, total 3 <= 4
     v2 = witness_count_vector(prof, 2)
     assert sb.iterated_cumsum_last(v2, 1) + 1 <= 4

@@ -131,6 +131,12 @@ def test_cli_construct(capsys):
     ideal = parse_ideal_text(out)
     assert len(ideal.gens) == 8
 
+    # the count vector's length is n; there is no --n to repeat it
+    with pytest.raises(SystemExit) as exc:
+        main(["construct", "piecewise-lex", "--n", "4", "--d", "5", "--counts", "1,3,2,2"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+
     code, out, _ = run_cli(capsys, "construct", "murai", "--counts", "1,2,2")
     assert code == 0
     assert sb.count_vector(parse_ideal_text(out)) == (1, 2, 2)
@@ -200,9 +206,15 @@ def test_cli_enumerate_and_search(tmp_path, capsys):
     mfile.write_text("n=4 jmin=2\n1 2 0 0\n1 3 3 4\n")
     code, out, _ = run_cli(capsys, "search", "matrix", str(mfile))
     assert code == 1 and "certified" in out
-    for dmax in ("0", "-1"):
-        code, _, err = run_cli(capsys, "search", "matrix", str(mfile), "--dmax", dmax)
-        assert code == 2 and f"dmax={dmax} must be at least 1" in err
+    # the search works out its own depth; --dmax is no option
+    for argv in (
+        ["search", "matrix", str(mfile), "--dmax", "2"],
+        ["search", "profile", "--profile", "2,4,1;3,2,1", "--n", "4", "--dmax", "4"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+    capsys.readouterr()
 
     code, out, _ = run_cli(capsys, "search", "profile", "--profile", "2,4,1;3,2,1", "--n", "4")
     assert code == 0

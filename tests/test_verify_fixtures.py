@@ -45,3 +45,18 @@ def test_fault_injection_is_detected(monkeypatch):
     results = {r.name: r for r in verify_mod.run_fixtures()}
     assert results["twin-tables-exchange-closed-side"].status == "fail"
     assert "expected" in results["twin-tables-exchange-closed-side"].detail
+
+
+def test_recorded_search_depth_is_checked(monkeypatch):
+    # the search works out its own depth, so a recorded depth other than
+    # the top corner degree is a fixture error, not a search parameter
+    import stablebetti.verify as verify_mod
+
+    fixtures = load_fixtures()
+    fx = next(f for f in fixtures if "search_dmax" in f)
+    assert fx["search_dmax"] == fx["corner_degrees"][0]
+    fx["search_dmax"] += 1
+    monkeypatch.setattr(verify_mod, "load_fixtures", lambda: fixtures)
+    results = {r.name: r for r in verify_mod.run_fixtures()}
+    assert results[fx["name"]].status == "fail"
+    assert "not the top corner degree" in results[fx["name"]].detail
