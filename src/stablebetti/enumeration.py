@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 from .betti import corners_from_counts
 from .errors import DEFAULT_BUDGET, BudgetExceededError, DomainError
-from .ideals import GeneratorMatrix, MonomialIdeal, class_degree_counts, new_generator_row
+from .ideals import GeneratorMatrix, MonomialIdeal, new_generator_row
 from .monomials import deglex_key, enumerate_degree, max_index, swap_variable
 
 DEFAULT_ENUM_N = 4
@@ -54,14 +54,22 @@ class _Layer:
         self.mult = None  # filled when the next layer exists
 
 
+# Layers of at most this many monomials stay cached for the life of the
+# process: every layer within the default enumeration caps and every one
+# that bench/ times (at most 210 monomials), with room to spare.  A larger
+# layer is built per call, so one deep search leaves no residue behind.
+_CACHED_LAYER_SIZE = 1024
+
 _layers = {}
 
 
 def _layer(n, d) -> _Layer:
-    key = (n, d)
-    if key not in _layers:
-        _layers[key] = _Layer(n, d)
-    return _layers[key]
+    layer = _layers.get((n, d))
+    if layer is None:
+        layer = _Layer(n, d)
+        if len(layer.mons) <= _CACHED_LAYER_SIZE:
+            _layers[(n, d)] = layer
+    return layer
 
 
 def _linked_layers(n, dmax) -> list:
@@ -97,80 +105,99 @@ def _filters(layer: _Layer, base: int, spec):
     (those outside base) match spec in each class (entries: exact int or
     None for free; a negative entry admits no set), depth first with
     exclusion before inclusion."""
-    n = layer.n
-    size = len(layer.mons)
     cls = layer.cls
     parents = layer.parents
     if spec is None:
-        spec = [None] * n
-    # free[c]: positions of class c+1 outside base, the elements a step can add
-    free = [mask & ~base for mask in layer.class_masks]
-    if any(tgt is not None and not 0 <= tgt <= f.bit_count() for tgt, f in zip(spec, free)):
-        return
-    # Along a path the counts only rise and the free elements left only
-    # fall, so a step can break only the target of the class it touches,
-    # and only a positive one; including an element keeps their sum and
-    # needs no check.  Include branches wait on the stack as (next
-    # position, set, counts) and are taken once the exclude branch below
-    # them is done.
-    stack = [(0, base, [0] * n)]
+        spec = (None,) * layer.n
+    else:
+        # free[c]: positions of class c+1 outside base, the elements a step can add
+        free = [mask & ~base for mask in layer.class_masks]
+        if any(tgt is not None and not 0 <= tgt <= f.bit_count() for tgt, f in zip(spec, free)):
+            return
+    # A pinned class's count on a path is (cur & free[c]).bit_count(); it
+    # only rises and the free elements left only fall, so a step can break
+    # only the target of the class it touches, and only a positive one.
+    # The test runs at every position outside base, whether or not its
+    # parents are in: the class's last one is where a short count is
+    # caught, so no set that misses a target is yielded.  Include branches
+    # wait on the stack as (next index into todo, set) and are taken once
+    # the exclude branch below them is done.
+    todo = [t for t in range(len(layer.mons)) if not base >> t & 1]
+    end = len(todo)
+    stack = [(0, base)]
     while stack:
-        t, cur, cnt = stack.pop()
-        while t < size:
-            bit = 1 << t
-            if base & bit:
-                t += 1
-                continue
+        k, cur = stack.pop()
+        while k < end:
+            t = todo[k]
+            k += 1
             c = cls[t] - 1
             tgt = spec[c]
-            if parents[t] & ~cur == 0 and (tgt is None or cnt[c] < tgt):
-                inc = cnt[:]
-                inc[c] += 1
-                stack.append((t + 1, cur | bit, inc))
-            t += 1
-            if tgt and cnt[c] + (free[c] >> t).bit_count() < tgt:
+            if tgt is None:
+                if parents[t] & ~cur == 0:
+                    stack.append((k, cur | 1 << t))
+                continue
+            have = (cur & free[c]).bit_count()
+            if have < tgt and parents[t] & ~cur == 0:
+                stack.append((k, cur | 1 << t))
+            if tgt and have + (free[c] >> t + 1).bit_count() < tgt:
                 break
         else:
             yield cur
 
 
-def _chains(n, dmax, spec_for):
-    """Yield the minimal generators (as monomials) of every chain of
-    exchange-closed sets for d = 1..dmax, depth first.
+def _chains(layers, spec_for):
+    """Yield every chain of exchange-closed sets for degrees 1..len(layers),
+    depth first, as the tuple of its per-degree new-element masks (each
+    set minus the shadow of the one below).
 
     spec_for(d) supplies the per-class new-generator counts for degree d
     (or None).
     """
-    layers = _linked_layers(n, dmax)
+    top = len(layers) - 1
+    # one filter stream per open degree, with the shadow it extends;
+    # prefix holds the new-element masks of the degrees below the top one
+    stack = [(_filters(layers[0], 0, spec_for(1)), 0)]
+    prefix = ()
+    while stack:
+        stream, base = stack[-1]
+        di = len(stack) - 1
+        if di == top:
+            for mask in stream:
+                yield prefix + (mask & ~base,)
+        else:
+            mask = next(stream, None)
+            if mask is not None:
+                prefix += (mask & ~base,)
+                shadow = _shadow(layers[di], mask)
+                stack.append((_filters(layers[di + 1], shadow, spec_for(di + 2)), shadow))
+                continue
+        stack.pop()
+        prefix = prefix[:-1]
 
-    def rec(di, shadow_mask, gens):
-        if di == dmax:
-            yield gens
-            return
-        layer = layers[di]
-        for mask in _filters(layer, shadow_mask, spec_for(di + 1)):
-            added = []
-            m = mask & ~shadow_mask
-            while m:
-                low = m & -m
-                added.append(layer.mons[low.bit_length() - 1])
-                m ^= low
-            nxt_shadow = _shadow(layer, mask) if di + 1 < dmax else 0
-            yield from rec(di + 1, nxt_shadow, gens + added)
 
-    return rec(0, 0, [])
+def _generators(layers, masks):
+    """The monomials of a chain's new-element masks, by ascending degree
+    and, within a degree, descending deglex."""
+    gens = []
+    for layer, mask in zip(layers, masks):
+        mons = layer.mons
+        while mask:
+            low = mask & -mask
+            gens.append(mons[low.bit_length() - 1])
+            mask ^= low
+    return gens
 
 
 def _budgeted(chains, budget, message):
     """The nonempty chains, raising BudgetExceededError(message) at the
     first one past the budget."""
     seen = 0
-    for gens in chains:
-        if gens:
+    for masks in chains:
+        if any(masks):
             if seen >= budget:
                 raise BudgetExceededError(message, partial_count=seen)
             seen += 1
-            yield gens
+            yield masks
 
 
 def _canonical_key(gens):
@@ -178,7 +205,8 @@ def _canonical_key(gens):
 
 
 def _ideal_chains(n, dmax, budget):
-    """The budgeted, unconstrained walk behind enumeration and counting."""
+    """The layers of the budgeted, unconstrained walk behind enumeration
+    and counting, and the walk."""
     if n < 1 or dmax < 1:
         raise DomainError("need n >= 1 and dmax >= 1")
     if budget is None and (n > DEFAULT_ENUM_N or dmax > DEFAULT_ENUM_DMAX):
@@ -192,7 +220,8 @@ def _ideal_chains(n, dmax, budget):
     if cap == 0:
         # every bound has the nonempty chain (x_1), so no layer is needed
         raise BudgetExceededError(message, partial_count=0)
-    return _budgeted(_chains(n, dmax, lambda d: None), cap, message)
+    layers = _linked_layers(n, dmax)
+    return layers, _budgeted(_chains(layers, lambda d: None), cap, message)
 
 
 def enumerate_strongly_stable(n, dmax, budget=None):
@@ -206,14 +235,15 @@ def enumerate_strongly_stable(n, dmax, budget=None):
     budget to go further.  Exceeding the budget raises
     BudgetExceededError carrying the partial count.
     """
-    for gens in sorted(_ideal_chains(n, dmax, budget), key=_canonical_key):
+    layers, chains = _ideal_chains(n, dmax, budget)
+    for gens in sorted((_generators(layers, masks) for masks in chains), key=_canonical_key):
         yield MonomialIdeal(n, gens)
 
 
 def count_strongly_stable(n, dmax, budget=None) -> int:
     """Number of ideals enumerate_strongly_stable would yield, without
     materializing them."""
-    return sum(1 for _ in _ideal_chains(n, dmax, budget))
+    return sum(1 for _ in _ideal_chains(n, dmax, budget)[1])
 
 
 @dataclass(frozen=True)
@@ -246,14 +276,15 @@ def search_matrix(M: GeneratorMatrix, *, budget=DEFAULT_BUDGET) -> SearchOutcome
     # row d-1, so the new generators pin row d; at the last row each
     # chain has exactly this matrix
     pins = {d: new_generator_row(canon, d) for d in range(1, jmax + 1)}
+    layers = _linked_layers(canon.n, jmax)
     chains = _budgeted(
-        _chains(canon.n, jmax, pins.__getitem__), budget,
+        _chains(layers, pins.__getitem__), budget,
         f"matrix search exceeded the budget of {budget} candidates",
     )
-    gens = next(chains, None)
-    if gens is None:
+    masks = next(chains, None)
+    if masks is None:
         return SearchOutcome(None, 0, "no strongly stable ideal has this matrix of generators")
-    return SearchOutcome(MonomialIdeal(canon.n, gens), 1)
+    return SearchOutcome(MonomialIdeal(canon.n, _generators(layers, masks)), 1)
 
 
 def _profile_specs(profile):
@@ -278,14 +309,22 @@ def search_extremal_profile(profile, *, budget=DEFAULT_BUDGET) -> SearchOutcome:
     extremal corner, so a realizing ideal has no generators above j_1.
     """
     specs = _profile_specs(profile)
+    layers = _linked_layers(profile.n, profile.triples[0][1])
     chains = _budgeted(
-        _chains(profile.n, profile.triples[0][1], specs.__getitem__), budget,
+        _chains(layers, specs.__getitem__), budget,
         f"profile search exceeded the budget of {budget} candidates",
     )
     examined = 0
-    for examined, gens in enumerate(chains, 1):
-        if tuple(corners_from_counts(class_degree_counts(gens))) == profile.triples:
-            return SearchOutcome(MonomialIdeal(profile.n, gens), examined)
+    for examined, masks in enumerate(chains, 1):
+        # the (class, degree) counts of the new generators, read off the masks
+        counts = {
+            (i, layer.d): count
+            for layer, mask in zip(layers, masks)
+            for i, cmask in enumerate(layer.class_masks, 1)
+            if (count := (mask & cmask).bit_count())
+        }
+        if tuple(corners_from_counts(counts)) == profile.triples:
+            return SearchOutcome(MonomialIdeal(profile.n, _generators(layers, masks)), examined)
     return SearchOutcome(
         None, examined,
         "no strongly stable ideal (hence, in characteristic 0, no homogeneous "

@@ -48,9 +48,10 @@ class MacaulayRep:
         return sum(binom(k, i) for k, i in self.terms())
 
 
-def _greedy_arg(rem, i):
-    # Largest k >= i - 1 with binom(k, i) <= rem (k = i - 1 encodes a zero
-    # term): double the step above the last k that fits, then halve it.
+def greedy_arg(rem, i):
+    """Largest k >= i - 1 with binom(k, i) <= rem (k = i - 1 encodes a
+    zero term), in O(log k) binomials."""
+    # double the step above the last k that fits, then halve it
     lo, step = i - 1, 1
     while binom(lo + step, i) <= rem:
         lo, step = lo + step, 2 * step
@@ -73,7 +74,7 @@ def macaulay_rep(a: int, d: int) -> MacaulayRep:
     ks = []
     rem = a
     for i in range(d, 0, -1):
-        k = _greedy_arg(rem, i)
+        k = greedy_arg(rem, i)
         ks.append(k)
         rem -= binom(k, i)
     if rem:

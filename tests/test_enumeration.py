@@ -5,7 +5,10 @@ from itertools import combinations
 import pytest
 
 import stablebetti as sb
+from stablebetti import enumeration
 from stablebetti.enumeration import (
+    _filters,
+    _linked_layers,
     count_strongly_stable,
     enumerate_strongly_stable,
     random_strongly_stable,
@@ -13,7 +16,7 @@ from stablebetti.enumeration import (
     search_matrix,
 )
 from stablebetti.ideals import GeneratorMatrix, MonomialIdeal
-from stablebetti.monomials import enumerate_degree
+from stablebetti.monomials import enumerate_degree, max_index, swap_variable
 
 
 def test_two_variable_degree_two_list():
@@ -223,3 +226,158 @@ def test_three_variable_sufficiency_samples(corpus_n3):
         result = sb.realize_matrix_greedy(M)
         assert result.ok
         assert sb.generator_matrix(result.ideal) == M
+
+
+def _closed_sets(n, d):
+    """Every set of degree-d monomials closed under all the moves
+    x_j -> x_i with i < j, not only the adjacent ones."""
+    mons = enumerate_degree(n, d)
+    out = []
+    for r in range(len(mons) + 1):
+        for sub in map(frozenset, combinations(mons, r)):
+            if all(swap_variable(u, j, i) in sub
+                   for u in sub for j in range(2, n + 1) if u[j - 1] for i in range(1, j)):
+                out.append(sub)
+    return out
+
+
+def _random_spec(rng, free_counts):
+    spec = []
+    for f in free_counts:
+        r = rng.random()
+        spec.append(None if r < 0.4 else 0 if r < 0.55 else -1 if r < 0.6
+                    else rng.randint(1, f + 1))
+    return spec
+
+
+def test_filters_match_brute_force():
+    # every exchange-closed superset of a shadow whose new elements match
+    # the spec, listed from the monomials alone, against the kernel
+    rng = random.Random(11)
+    nonempty = 0
+    for n, d in ((2, 1), (2, 5), (3, 1), (3, 2), (3, 3), (4, 2)):
+        layer = _linked_layers(n, d)[-1]
+        closed = _closed_sets(n, d)
+        # the bases are the shadows of closed sets one degree down
+        below = _closed_sets(n, d - 1) if d > 1 else [()]
+        for _ in range(40):
+            shadow = {
+                tuple(e + (t == s) for t, e in enumerate(u))
+                for u in rng.choice(below)
+                for s in range(n)
+            }
+            spec = None
+            if rng.random() < 0.8:
+                free_counts = [sum(max_index(u) == i for u in layer.mons if u not in shadow)
+                               for i in range(1, n + 1)]
+                spec = _random_spec(rng, free_counts)
+            expected = set()
+            for full in closed:
+                counts = [sum(max_index(u) == i for u in full - shadow) for i in range(1, n + 1)]
+                if shadow <= full and (spec is None or all(
+                    tgt is None or tgt == c for tgt, c in zip(spec, counts)
+                )):
+                    expected.add(full)
+            base = sum(1 << layer.index[u] for u in shadow)
+            got = [
+                frozenset(u for t, u in enumerate(layer.mons) if mask >> t & 1)
+                for mask in _filters(layer, base, spec)
+            ]
+            assert len(got) == len(set(got))
+            assert set(got) == expected, (n, d, sorted(shadow), spec)
+            nonempty += bool(expected)
+    assert nonempty >= 80
+
+
+def test_oversized_layers_are_not_cached():
+    # a budget-0 search still builds its layers; the degree-5..8 layers of
+    # nine variables (1,287 to 12,870 monomials) must not outlive it
+    with pytest.raises(sb.BudgetExceededError):
+        search_extremal_profile(sb.ExtremalProfile(9, ((1, 8, 1),)), budget=0)
+    sizes = {key: len(layer.mons) for key, layer in enumeration._layers.items()}
+    assert all(size <= enumeration._CACHED_LAYER_SIZE for size in sizes.values())
+    assert (9, 4) in sizes and (9, 5) not in sizes
+
+
+# Recorded outcomes of seeded searches: the input, the hit's generators
+# as exponent digits (or None for a miss), examined, and the
+# partial_count raised at budgets 0, 1 and 3 (None where the budget
+# held and the search gave its full outcome).
+PROFILE_PINS = [
+    ((3, ((1, 5, 1), (2, 4, 1))), "230 400 310 301", 1, (0, None, None)),
+    ((5, ((1, 3, 4), (2, 2, 1))), None, 0, (None, None, None)),
+    ((3, ((1, 4, 1), (2, 3, 1))), "130 300 210 201", 1, (0, None, None)),
+    ((3, ((1, 4, 3), (2, 3, 1))), None, 0, (None, None, None)),
+    ((3, ((1, 4, 1), (2, 2, 1))), "040 200 110 101", 1, (0, None, None)),
+    ((4, ((2, 4, 1), (3, 3, 2))), "0400 0310 3000 2100 2010 2001 1200 1110 1101", 1, (0, None, None)),
+    ((4, ((2, 3, 1), (3, 2, 1))), "0300 0210 2000 1100 1010 1001", 1, (0, None, None)),
+    ((4, ((2, 4, 3), (3, 3, 1))), "1300 1210 1120 0400 0310 3000 2100 2010 2001", 1, (0, None, None)),
+    ((3, ((2, 2, 1),)), "200 110 101", 1, (0, None, None)),
+    ((3, ((2, 2, 2),)), "200 110 101 020 011", 1, (0, None, None)),
+    ((4, ((1, 1, 1),)), "1000 0100", 1, (0, None, None)),
+    ((4, ((1, 3, 4),)), None, 0, (None, None, None)),
+    ((5, ((1, 2, 1),)), "20000 11000", 1, (0, None, None)),
+    ((5, ((2, 2, 3),)), "20000 11000 10100 02000 01100 00200", 1, (0, None, None)),
+    ((3, ((2, 1, 1),)), "100 010 001", 1, (0, None, None)),
+    ((4, ((3, 3, 3),)), "3000 2100 2010 2001 1200 1110 1101 0300 0210 0201", 1, (0, None, None)),
+    ((3, ((1, 2, 2),)), "200 110 020", 1, (0, None, None)),
+    ((2, ((1, 2, 4),)), None, 0, (None, None, None)),
+    ((2, ((1, 2, 2),)), "20 11 02", 1, (0, None, None)),
+    ((5, ((3, 2, 3),)), "20000 11000 10100 10010 02000 01100 01010 00200 00110", 1, (0, None, None)),
+]
+MATRIX_PINS = [
+    ((2, 1, ((1, 1),)), "10 01", 1, (0, None, None)),
+    ((2, 1, ((0, 1),)), None, 0, (None, None, None)),
+    ((4, 1, ((1, 1, 0, 0), (1, 2, 3, 2), (1, 3, 6, 10))), "0012 0003 0020 1000 0100", 1, (0, None, None)),
+    ((2, 2, ((2, 2),)), None, 0, (None, None, None)),
+    ((4, 3, ((1, 0, 0, 0),)), "3000", 1, (0, None, None)),
+    ((5, 1, ((1, 0, 0, 0, 0), (1, 2, 3, 3, 2), (1, 3, 6, 10, 13))), "00102 00030 00021 02000 01100 01010 01001 00200 00110 10000", 1, (0, None, None)),
+    ((3, 1, ((1, 1, 0), (1, 2, 3))), "002 100 010", 1, (0, None, None)),
+    ((2, 3, ((1, 0), (1, 2))), "22 30", 1, (0, None, None)),
+    ((3, 1, ((1, 1, 1),)), "100 010 001", 1, (0, None, None)),
+    ((4, 1, ((1, 0, 1, 0), (1, 2, 3, 4))), None, 0, (None, None, None)),
+    ((5, 2, ((1, 0, 0, 0, 0), (1, 3, 2, 1, 1))), "12000 11100 03000 20000", 1, (0, None, None)),
+    ((5, 1, ((1, 0, 0, 0, 0), (1, 2, 2, 1, 1), (1, 3, 5, 7, 6))), None, 0, (None, None, None)),
+    ((5, 2, ((1, 1, 1, 0, 0), (1, 3, 3, 4, 3))), "10020 03000 20000 11000 10100", 1, (0, None, None)),
+    ((5, 1, ((1, 0, 0, 0, 0), (1, 2, 1, 1, 0))), None, 0, (None, None, None)),
+    ((4, 1, ((1, 1, 1, 0), (1, 2, 3, 3), (1, 3, 6, 10))), "0003 1000 0100 0010", 1, (0, None, None)),
+    ((4, 1, ((0, 0, 0, 0), (1, 1, 1, 1), (1, 3, 3, 4), (1, 4, 8, 11))), "0220 0300 2000 1100 1010 1001", 1, (0, None, None)),
+    ((4, 1, ((1, 0, 0, 0),)), "1000", 1, (0, None, None)),
+    ((4, 2, ((1, 2, 0, 0), (1, 3, 6, 3))), "1020 0120 0030 2000 1100 0200", 1, (0, None, None)),
+    ((4, 1, ((1, 1, 0, 0),)), "1000 0100", 1, (0, None, None)),
+    ((4, 1, ((1, 2, 0, 0),)), None, 0, (None, None, None)),
+]
+
+
+PROFILE_MISS = (
+    "no strongly stable ideal (hence, in characteristic 0, no homogeneous "
+    "ideal) has exactly these extremal corners"
+)
+MATRIX_MISS = "no strongly stable ideal has this matrix of generators"
+
+
+def _search_record(search, target, budget):
+    try:
+        out = search(target) if budget is None else search(target, budget=budget)
+    except sb.BudgetExceededError as err:
+        return str(err), err.partial_count
+    found = out.found and " ".join("".join(map(str, g)) for g in out.found.gens)
+    return found, out.examined, out.note
+
+
+def test_search_outcomes_pinned():
+    # a pruning change that keeps every hit but alters what the walk
+    # yields changes a hit, examined or a budget outcome here
+    for search, make, kind, miss, pins in (
+        (search_extremal_profile, lambda a: sb.ExtremalProfile(*a), "profile", PROFILE_MISS,
+         PROFILE_PINS),
+        (search_matrix, lambda a: GeneratorMatrix(*a), "matrix", MATRIX_MISS, MATRIX_PINS),
+    ):
+        for arg, found, examined, partials in pins:
+            target = make(arg)
+            full = (found, examined, "" if found else miss)
+            assert _search_record(search, target, None) == full, arg
+            for budget, partial in zip((0, 1, 3), partials):
+                expected = full if partial is None else (
+                    f"{kind} search exceeded the budget of {budget} candidates", partial)
+                assert _search_record(search, target, budget) == expected, (arg, budget)

@@ -1,3 +1,5 @@
+import time
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -86,6 +88,29 @@ def test_kth_biggest_matches_filter(n, d, data):
     assert max_index(u) == ell
     filtered = [v for v in enumerate_degree(n, d) if max_index(v) == ell]
     assert filtered[k - 1] == u
+
+
+def test_kth_biggest_matches_enumeration_exhaustively():
+    for n in range(1, 7):
+        for d in range(1, 7):
+            mons = enumerate_degree(n, d)
+            for ell in range(1, n + 1):
+                filtered = [v for v in mons if max_index(v) == ell]
+                got = [kth_biggest_with_max_index(ell, k, d, n)
+                       for k in range(1, class_size(ell, d) + 1)]
+                assert got == filtered
+
+
+def test_kth_biggest_at_huge_degree():
+    # unranked without enumerating the class, so no degree cap applies
+    d = 10**6
+    start = time.perf_counter()
+    assert kth_biggest_with_max_index(3, 1, d, 4) == (d - 1, 0, 1, 0)
+    last = kth_biggest_with_max_index(3, class_size(3, d), d, 4)
+    assert last == (0, 0, d, 0)
+    u = kth_biggest_with_max_index(4, 10**15, d, 5)
+    assert sum(u) == d and max_index(u) == 4
+    assert time.perf_counter() - start < 0.5
 
 
 def test_deglex_key_sorts_like_compare():
