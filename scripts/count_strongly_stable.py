@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Tabulate how many strongly stable ideals live within each (n, dmax)
 bound.  The n=4, dmax=5 cell (683,462 ideals, --max-dmax 5) takes about
-2 s."""
+0.3 s on a 2-vCPU machine."""
 
 import argparse
 import time

@@ -19,6 +19,7 @@ from .macaulay import binom, is_o_sequence, macaulay_rep
 from .monomials import (
     class_size,
     enumerate_degree,
+    iter_degree,
     max_index,
     monomials_with_max_index,
 )
@@ -123,7 +124,7 @@ def subring_lexsegment_ideal(ell: int, k: int, d: int, n: int) -> MonomialIdeal:
         )
     pad = (0,) * (n - ell)
     gens = []
-    for v in enumerate_degree(ell, d):
+    for v in iter_degree(ell, d):
         gens.append(v + pad)
         if v[-1]:  # x_ell divides v, so v is one of the k
             k -= 1

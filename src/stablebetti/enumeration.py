@@ -9,6 +9,11 @@ supersets of the shadow are enumerated by a bitmask DFS over the
 monomials in descending order (an exchange move always produces an
 earlier monomial, so a monomial may enter only once its movers are in).
 
+Counting does not visit each chain.  What a chain can become above
+degree d depends only on the shadow it hands to degree d + 1, so the
+number of chains above each (degree, shadow) pair is computed once per
+call and reused (the transfer-matrix method).
+
 Searches prune with per-degree, per-class counts of new generators (the
 elements of B_d outside the shadow).  A generator-matrix target pins
 them through m_{i,d} = mu_{i,d} - sum_{q<=i} mu_{q,d-1}, an extremal
@@ -204,9 +209,9 @@ def _canonical_key(gens):
     return (max(sum(g) for g in gens), tuple(deglex_key(g) for g in gens))
 
 
-def _ideal_chains(n, dmax, budget):
-    """The layers of the budgeted, unconstrained walk behind enumeration
-    and counting, and the walk."""
+def _walk_setup(n, dmax, budget):
+    """The layers of the unconstrained walk behind enumeration and
+    counting, its ideal cap and the message of the error past it."""
     if n < 1 or dmax < 1:
         raise DomainError("need n >= 1 and dmax >= 1")
     if budget is None and (n > DEFAULT_ENUM_N or dmax > DEFAULT_ENUM_DMAX):
@@ -220,8 +225,7 @@ def _ideal_chains(n, dmax, budget):
     if cap == 0:
         # every bound has the nonempty chain (x_1), so no layer is needed
         raise BudgetExceededError(message, partial_count=0)
-    layers = _linked_layers(n, dmax)
-    return layers, _budgeted(_chains(layers, lambda d: None), cap, message)
+    return _linked_layers(n, dmax), cap, message
 
 
 def enumerate_strongly_stable(n, dmax, budget=None):
@@ -235,15 +239,49 @@ def enumerate_strongly_stable(n, dmax, budget=None):
     budget to go further.  Exceeding the budget raises
     BudgetExceededError carrying the partial count.
     """
-    layers, chains = _ideal_chains(n, dmax, budget)
+    layers, cap, message = _walk_setup(n, dmax, budget)
+    chains = _budgeted(_chains(layers, lambda d: None), cap, message)
     for gens in sorted((_generators(layers, masks) for masks in chains), key=_canonical_key):
         yield MonomialIdeal(n, gens)
 
 
 def count_strongly_stable(n, dmax, budget=None) -> int:
-    """Number of ideals enumerate_strongly_stable would yield, without
-    materializing them."""
-    return sum(1 for _ in _ideal_chains(n, dmax, budget)[1])
+    """Number of ideals enumerate_strongly_stable would yield, under the
+    same caps and errors, without materializing them or visiting each
+    chain."""
+    layers, cap, message = _walk_setup(n, dmax, budget)
+    top = len(layers) - 1
+    memo = {}
+    # chains found so far in walk order, the empty one included: a memo
+    # hit adds its whole count at once, so the cap is checked on each add
+    total = 0
+
+    def tally(found):
+        nonlocal total
+        total += found
+        if total > cap + 1:
+            raise BudgetExceededError(message, partial_count=max(cap, 0))
+
+    def chains_from(di, base):
+        # the chains from degree di + 1 upward whose set there contains base
+        key = (di, base)
+        found = memo.get(key)
+        if found is not None:
+            tally(found)
+            return found
+        layer = layers[di]
+        found = 0
+        if di == top:
+            for _ in _filters(layer, base, None):
+                found += 1
+                tally(1)
+        else:
+            for mask in _filters(layer, base, None):
+                found += chains_from(di + 1, _shadow(layer, mask))
+        memo[key] = found
+        return found
+
+    return chains_from(0, 0) - 1
 
 
 @dataclass(frozen=True)

@@ -50,6 +50,25 @@ def swap_variable(u, j, i):
     return tuple(w)
 
 
+def iter_degree(n: int, d: int):
+    """Yield the degree-d monomials in n >= 1 variables one at a time,
+    deglex descending, with no degree cap: each next one moves a unit
+    from the last nonzero exponent before x_n one place right and
+    gathers the x_n exponent onto it."""
+    u = [d] + [0] * (n - 1)
+    while True:
+        yield tuple(u)
+        t = n - 2
+        while t >= 0 and not u[t]:
+            t -= 1
+        if t < 0:
+            return
+        u[t] -= 1
+        rest = u[-1] + 1
+        u[-1] = 0
+        u[t + 1] = rest
+
+
 def enumerate_degree(n: int, d: int) -> list:
     """All binom(n+d-1, d) monomials of degree d, deglex descending."""
     if n < 1:
@@ -58,17 +77,7 @@ def enumerate_degree(n: int, d: int) -> list:
         raise DomainError("degree must be nonnegative")
     if d > DEGREE_CAP:
         raise DomainError(f"degree {d} exceeds the enumeration cap {DEGREE_CAP}")
-    out = []
-
-    def rec(prefix, rest, deg_left):
-        if rest == 1:
-            out.append(prefix + (deg_left,))
-            return
-        for e in range(deg_left, -1, -1):
-            rec(prefix + (e,), rest - 1, deg_left - e)
-
-    rec((), n, d)
-    return out
+    return list(iter_degree(n, d))
 
 
 def class_size(ell: int, d: int) -> int:

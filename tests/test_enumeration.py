@@ -7,6 +7,8 @@ import pytest
 import stablebetti as sb
 from stablebetti import enumeration
 from stablebetti.enumeration import (
+    _budgeted,
+    _chains,
     _filters,
     _linked_layers,
     count_strongly_stable,
@@ -104,6 +106,13 @@ def test_small_budget_stops_a_deep_walk_at_once():
         search_extremal_profile(sb.ExtremalProfile(4, ((2, 12, 2),)), budget=0)
     assert err.value.partial_count == 0
     assert time.perf_counter() - start < 2.0
+    # counting adds a memoised count at once, and still stops at the budget
+    for budget in (1, 1000):
+        start = time.perf_counter()
+        with pytest.raises(sb.BudgetExceededError) as err:
+            count_strongly_stable(4, 12, budget=budget)
+        assert err.value.partial_count == budget
+        assert time.perf_counter() - start < 2.0
 
 
 def test_budget_zero_builds_no_layers():
@@ -123,6 +132,37 @@ def test_budget_zero_builds_no_layers():
 def test_count_matches_enumeration():
     for n, dmax in ((2, 3), (3, 3), (3, 4)):
         assert count_strongly_stable(n, dmax) == len(list(enumerate_strongly_stable(n, dmax)))
+
+
+def _outcome(count, n, dmax, budget):
+    try:
+        return count(n, dmax, budget)
+    except sb.BudgetExceededError as err:
+        return (type(err), str(err), err.partial_count)
+
+
+def _walked_count(n, dmax, budget):
+    # reference: visit the nonempty chains one by one under the budget
+    layers, cap, message = enumeration._walk_setup(n, dmax, budget)
+    return sum(1 for _ in _budgeted(_chains(layers, lambda d: None), cap, message))
+
+
+def test_count_matches_the_chain_walk_under_every_budget():
+    bounds = [(n, dmax) for n in range(1, 6) for dmax in range(1, 4)] + [(2, 6), (3, 4), (6, 2)]
+    for n, dmax in bounds:
+        total = _walked_count(n, dmax, 10**6)
+        for budget in (None, -1, 0, 1, 2, 3, 5, 17, total - 1, total, total + 1):
+            expected = _outcome(_walked_count, n, dmax, budget)
+            assert _outcome(count_strongly_stable, n, dmax, budget) == expected, (n, dmax, budget)
+
+
+def test_large_counts_pinned():
+    budget = 2**31
+    for d in range(1, 31):
+        assert count_strongly_stable(1, d, budget=budget) == d
+        assert count_strongly_stable(2, d, budget=budget) == 2 ** (d + 1) - 2
+    for n, dmax, total in ((4, 5, 683462), (5, 4, 683462), (3, 7, 252584), (3, 8, 3803646)):
+        assert count_strongly_stable(n, dmax, budget=budget) == total
 
 
 def test_search_matrix_obstructions():

@@ -144,6 +144,11 @@ def test_cli_construct(capsys):
     code, out, _ = run_cli(capsys, "construct", "u-ideal", "--n", "4", "--ell", "4", "--k", "2", "--d", "2")
     assert code == 0
     assert len(parse_ideal_text(out).gens) == 7
+    # the segment is walked lazily, so a huge degree with a short answer
+    # is not refused by the enumeration cap
+    code, out, _ = run_cli(capsys, "construct", "u-ideal", "--n", "3", "--ell", "3", "--k", "1", "--d", "1000000")
+    assert code == 0
+    assert out.splitlines() == ["n=3", "1000000 0 0", "999999 1 0", "999999 0 1"]
 
     code, out, _ = run_cli(capsys, "construct", "lexsegment", "--n", "3", "--d", "2", "--mu", "4")
     assert code == 0

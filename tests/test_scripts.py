@@ -16,8 +16,8 @@ ROOT = Path(__file__).resolve().parent.parent
             lambda line: line.startswith("42 admissible matrices, 42 realized"),
         ),
         (
-            ["count_strongly_stable.py", "--max-n", "3", "--max-dmax", "3"],
-            lambda line: line.split()[:3] == ["3", "3", "64"],
+            ["count_strongly_stable.py", "--max-n", "4", "--max-dmax", "5"],
+            lambda line: line.split()[:3] == ["4", "5", "683462"],
         ),
         (
             ["adjudicate_prefix_sum.py"],
