@@ -12,7 +12,11 @@ earlier monomial, so a monomial may enter only once its movers are in).
 Counting does not visit each chain.  What a chain can become above
 degree d depends only on the shadow it hands to degree d + 1, so the
 number of chains above each (degree, shadow) pair is computed once per
-call and reused (the transfer-matrix method).
+call and reused (the transfer-matrix method).  The lower degrees list
+their sets, whose shadows key that memo; the top degree lists none and
+counts its sets in one pass over the positions, keeping only what later
+exchange tests read (frontier-based counting, as in decision-diagram
+construction).
 
 Searches prune with per-degree, per-class counts of new generators (the
 elements of B_d outside the shadow).  A generator-matrix target pins
@@ -37,7 +41,7 @@ DEFAULT_ENUM_DMAX = 5
 class _Layer:
     """Degree slice of the monomial poset with precomputed move masks."""
 
-    __slots__ = ("n", "d", "mons", "index", "parents", "cls", "class_masks", "mult")
+    __slots__ = ("n", "d", "mons", "index", "parents", "need", "cls", "class_masks", "mult")
 
     def __init__(self, n, d):
         self.n = n
@@ -52,6 +56,10 @@ class _Layer:
                 if u[j - 1]:
                     mask |= 1 << self.index[swap_variable(u, j, j - 1)]
             self.parents.append(mask)
+        # need[t]: the positions a parents test at t or later reads
+        self.need = [0] * (len(self.mons) + 1)
+        for t in range(len(self.mons) - 1, -1, -1):
+            self.need[t] = self.need[t + 1] | self.parents[t]
         # class_masks[i-1]: the positions of the monomials with max index i
         self.class_masks = [0] * n
         for t, i in enumerate(self.cls):
@@ -148,6 +156,42 @@ def _filters(layer: _Layer, base: int, spec):
                 break
         else:
             yield cur
+
+
+def _count_filters(layer: _Layer, base: int, room) -> int:
+    """The number of exchange-closed supersets of base, counted without
+    listing them; once the count passes room, some number above room.
+
+    One pass over the positions outside base in index order, whose states
+    are the chosen sets cut down to the positions a later parents test
+    reads, each with its multiplicity.  Every partial set extends to at
+    least the set that excludes all the rest, so size, one plus the
+    multiplicities of the includes so far, only grows towards the count
+    (it ends equal to the sum of the multiplicities).
+    """
+    parents = layer.parents
+    need = layer.need
+    states = {base: 1}
+    size = 1
+    for t, p in enumerate(parents):
+        if base >> t & 1:
+            continue
+        bit = 1 << t
+        keep = need[t + 1]
+        nxt = {}
+        added = 0
+        for cur, m in states.items():
+            s = cur & keep
+            nxt[s] = nxt.get(s, 0) + m
+            if p & ~cur == 0:
+                s = (cur | bit) & keep
+                nxt[s] = nxt.get(s, 0) + m
+                added += m
+        states = nxt
+        size += added
+        if size > room:
+            break
+    return size
 
 
 def _chains(layers, spec_for):
@@ -248,7 +292,9 @@ def enumerate_strongly_stable(n, dmax, budget=None):
 def count_strongly_stable(n, dmax, budget=None) -> int:
     """Number of ideals enumerate_strongly_stable would yield, under the
     same caps and errors, without materializing them or visiting each
-    chain."""
+    chain: the chains above each (degree, shadow) pair are counted once
+    per call, and the top degree's sets are counted without listing
+    them."""
     layers, cap, message = _walk_setup(n, dmax, budget)
     top = len(layers) - 1
     memo = {}
@@ -270,12 +316,11 @@ def count_strongly_stable(n, dmax, budget=None) -> int:
             tally(found)
             return found
         layer = layers[di]
-        found = 0
         if di == top:
-            for _ in _filters(layer, base, None):
-                found += 1
-                tally(1)
+            found = _count_filters(layer, base, cap + 1 - total)
+            tally(found)
         else:
+            found = 0
             for mask in _filters(layer, base, None):
                 found += chains_from(di + 1, _shadow(layer, mask))
         memo[key] = found

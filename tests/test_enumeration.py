@@ -1,3 +1,4 @@
+import math
 import random
 import time
 from itertools import combinations
@@ -9,8 +10,10 @@ from stablebetti import enumeration
 from stablebetti.enumeration import (
     _budgeted,
     _chains,
+    _count_filters,
     _filters,
     _linked_layers,
+    _shadow,
     count_strongly_stable,
     enumerate_strongly_stable,
     random_strongly_stable,
@@ -115,6 +118,18 @@ def test_small_budget_stops_a_deep_walk_at_once():
         assert time.perf_counter() - start < 2.0
 
 
+def test_small_budget_stops_a_wide_top_layer_at_once():
+    # the top degree is counted without listing its sets, and the count
+    # stops as soon as it passes the room the budget leaves
+    for n, dmax, budget in ((6, 5, 1000), (7, 4, 10**5)):
+        start = time.perf_counter()
+        with pytest.raises(sb.BudgetExceededError) as err:
+            count_strongly_stable(n, dmax, budget=budget)
+        assert err.value.partial_count == budget
+        assert str(err.value) == f"enumeration exceeded the budget of {budget} ideals"
+        assert time.perf_counter() - start < 0.5, (n, dmax)
+
+
 def test_budget_zero_builds_no_layers():
     # every bound holds the chain (x_1), so budget 0 stops before the
     # walk builds a layer; (11, 9) has 92,378 monomials of degree 9
@@ -161,8 +176,37 @@ def test_large_counts_pinned():
     for d in range(1, 31):
         assert count_strongly_stable(1, d, budget=budget) == d
         assert count_strongly_stable(2, d, budget=budget) == 2 ** (d + 1) - 2
-    for n, dmax, total in ((4, 5, 683462), (5, 4, 683462), (3, 7, 252584), (3, 8, 3803646)):
+    for n, dmax, total in (
+        (4, 5, 683462), (5, 4, 683462), (3, 7, 252584), (3, 8, 3803646),
+        (6, 3, 21758), (3, 9, 74327143),
+    ):
         assert count_strongly_stable(n, dmax, budget=budget) == total
+
+
+def test_count_is_symmetric_in_n_and_dmax():
+    # observed, not proved: the count at (n, d) equals the count at (d, n)
+    # on every pair below, which sets wide top layers against chain-shaped
+    # ones; (4, 6) = (6, 4) = 161,960,218 takes seconds and is left out
+    pairs = [(n, d) for n in range(1, 25) for d in range(n + 1, 25) if n * d <= 24]
+    for n, d in pairs:
+        if (n, d) != (4, 6):
+            assert count_strongly_stable(n, d, budget=10**9) == count_strongly_stable(
+                d, n, budget=10**9
+            ), (n, d)
+
+
+def test_count_filters_matches_the_listing():
+    # per layer, against _filters over every base the count meets: 0 and
+    # the shadow of each closed set one degree down
+    for n, d in [(n, d) for n in range(1, 6) for d in range(1, 5)] + [(2, 10)]:
+        layers = _linked_layers(n, d)
+        bases = {0}
+        if d > 1:
+            bases |= {_shadow(layers[-2], mask) for mask in _filters(layers[-2], 0, None)}
+        for base in bases:
+            listed = sum(1 for _ in _filters(layers[-1], base, None))
+            assert _count_filters(layers[-1], base, math.inf) == listed, (n, d, base)
+            assert _count_filters(layers[-1], base, listed - 1) > listed - 1, (n, d, base)
 
 
 def test_search_matrix_obstructions():
