@@ -133,11 +133,21 @@ def subring_lexsegment_ideal(ell: int, k: int, d: int, n: int) -> MonomialIdeal:
     return MonomialIdeal(n, gens)
 
 
-def lexsegment_ideal(n: int, d: int, mu: int) -> MonomialIdeal:
-    """Ideal generated by the mu biggest monomials of degree d."""
+def _lexsegment_bound(n: int, d: int, mu: int) -> int:
+    """binom(n+d-1, d), once n, d and mu are checked to name a lexsegment."""
+    if n < 1:
+        raise DomainError("need at least one variable")
+    if d < 1:
+        raise DomainError("degree must be positive")
     bound = binom(n + d - 1, d)
     if not 1 <= mu <= bound:
         raise DomainError(f"mu={mu} out of range 1..{bound}")
+    return bound
+
+
+def lexsegment_ideal(n: int, d: int, mu: int) -> MonomialIdeal:
+    """Ideal generated by the mu biggest monomials of degree d."""
+    _lexsegment_bound(n, d, mu)
     return MonomialIdeal(n, enumerate_degree(n, d)[:mu])
 
 
@@ -193,10 +203,7 @@ def lexsegment_count_vector(n: int, d: int, mu: int) -> tuple:
 
         binom(i+d-2, d-1) - sum_t binom(k(t) - n + i - 1, t - 1).
     """
-    bound = binom(n + d - 1, d)
-    if not 1 <= mu <= bound:
-        raise DomainError(f"mu={mu} out of range 1..{bound}")
-    rep = macaulay_rep(bound - mu, d)
+    rep = macaulay_rep(_lexsegment_bound(n, d, mu) - mu, d)
     out = []
     for i in range(1, n + 1):
         m = class_size(i, d) - sum(binom(k - n + i - 1, t - 1) for k, t in rep.terms())

@@ -20,8 +20,10 @@ construction).
 
 Searches prune with per-degree, per-class counts of new generators (the
 elements of B_d outside the shadow).  A generator-matrix target pins
-them through m_{i,d} = mu_{i,d} - sum_{q<=i} mu_{q,d-1}, an extremal
-profile pins some of them directly.
+them through m_{i,d} = mu_{i,d} - sum_{q<=i} mu_{q,d-1}; an extremal
+profile pins each of them to its corner value, to free or to zero.  The
+pins alone decide a hit, so either search answers with the walk's first
+chain.
 """
 
 from __future__ import annotations
@@ -29,7 +31,6 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .betti import corners_from_counts
 from .errors import DEFAULT_BUDGET, BudgetExceededError, DomainError
 from .ideals import GeneratorMatrix, MonomialIdeal, new_generator_row
 from .monomials import deglex_key, enumerate_degree, max_index, swap_variable
@@ -41,11 +42,10 @@ DEFAULT_ENUM_DMAX = 5
 class _Layer:
     """Degree slice of the monomial poset with precomputed move masks."""
 
-    __slots__ = ("n", "d", "mons", "index", "parents", "need", "cls", "class_masks", "mult")
+    __slots__ = ("n", "mons", "index", "parents", "need", "cls", "class_masks", "mult")
 
     def __init__(self, n, d):
         self.n = n
-        self.d = d
         self.mons = enumerate_degree(n, d)
         self.index = {u: t for t, u in enumerate(self.mons)}
         self.parents = []
@@ -333,15 +333,30 @@ def count_strongly_stable(n, dmax, budget=None) -> int:
 class SearchOutcome:
     """Result of a complete search: the first hit, or a none-report that
     is a non-existence certificate, since each search walks to a depth
-    that covers every candidate."""
+    that covers every candidate.  The pins decide a hit by themselves, so
+    a search examines only the walk's first chain: the hit, if any."""
 
     found: object  # MonomialIdeal or None
-    examined: int
     note: str = ""
 
     @property
     def ok(self):
         return self.found is not None
+
+    @property
+    def examined(self):
+        return int(self.ok)
+
+
+def _first_chain(n, specs, budget, kind, miss) -> SearchOutcome:
+    """The walk's first nonempty chain under specs, the per-class pins of
+    degrees 1..len(specs), as a hit; or a none-report with note miss."""
+    layers = _linked_layers(n, len(specs))
+    message = f"{kind} search exceeded the budget of {budget} candidates"
+    masks = next(_budgeted(_chains(layers, lambda d: specs[d - 1]), budget, message), None)
+    if masks is None:
+        return SearchOutcome(None, miss)
+    return SearchOutcome(MonomialIdeal(n, _generators(layers, masks)))
 
 
 def search_matrix(M: GeneratorMatrix, *, budget=DEFAULT_BUDGET) -> SearchOutcome:
@@ -354,62 +369,38 @@ def search_matrix(M: GeneratorMatrix, *, budget=DEFAULT_BUDGET) -> SearchOutcome
     canon = M.canonical()
     if not canon.rows:
         raise DomainError("zero matrix: nothing to search for")
-    jmax = canon.jmax
     # the shadow of a chain matching rows 1..d-1 holds the prefix sums of
     # row d-1, so the new generators pin row d; at the last row each
     # chain has exactly this matrix
-    pins = {d: new_generator_row(canon, d) for d in range(1, jmax + 1)}
-    layers = _linked_layers(canon.n, jmax)
-    chains = _budgeted(
-        _chains(layers, pins.__getitem__), budget,
-        f"matrix search exceeded the budget of {budget} candidates",
+    specs = [new_generator_row(canon, d) for d in range(1, canon.jmax + 1)]
+    return _first_chain(
+        canon.n, specs, budget, "matrix", "no strongly stable ideal has this matrix of generators"
     )
-    masks = next(chains, None)
-    if masks is None:
-        return SearchOutcome(None, 0, "no strongly stable ideal has this matrix of generators")
-    return SearchOutcome(MonomialIdeal(canon.n, _generators(layers, masks)), 1)
 
 
 def _profile_specs(profile):
-    n = profile.n
-    j1 = profile.triples[0][1]
-    specs = {d: [None] * n for d in range(1, j1 + 1)}
-    for (ip, jp, bp) in profile.triples:
-        for d in range(jp, j1 + 1):
-            for i in range(ip + 1, n + 1):
-                # class i at degree d feeds the table position (i-1, d)
-                if (i - 1, d) != (ip, jp):
-                    specs[d][i - 1] = 0
-    for (ip, jp, bp) in profile.triples:
-        specs[jp][ip] = bp
-    return specs
+    """The pins of degrees 1..j_1.  Class c+1 at degree d feeds the cell
+    (c, d), and a stable ideal's extremal corners are the maximal cells
+    holding generators, valued by their counts.  So a corner cell holds
+    its value, a cell weakly below and left of a corner is free and every
+    other cell is empty."""
+    triples = profile.triples
+    values = {(ip, jp): bp for ip, jp, bp in triples}
+    return [
+        [values.get((c, d), None if any(c <= ip and d <= jp for ip, jp, _ in triples) else 0)
+         for c in range(profile.n)]
+        for d in range(1, triples[0][1] + 1)
+    ]
 
 
 def search_extremal_profile(profile, *, budget=DEFAULT_BUDGET) -> SearchOutcome:
     """First strongly stable ideal whose extremal corners are exactly the
-    profile.  The search walks through the largest corner degree j_1 and
-    is complete: the top nonzero row of a Betti table always contains an
-    extremal corner, so a realizing ideal has no generators above j_1.
-    """
-    specs = _profile_specs(profile)
-    layers = _linked_layers(profile.n, profile.triples[0][1])
-    chains = _budgeted(
-        _chains(layers, specs.__getitem__), budget,
-        f"profile search exceeded the budget of {budget} candidates",
-    )
-    examined = 0
-    for examined, masks in enumerate(chains, 1):
-        # the (class, degree) counts of the new generators, read off the masks
-        counts = {
-            (i, layer.d): count
-            for layer, mask in zip(layers, masks)
-            for i, cmask in enumerate(layer.class_masks, 1)
-            if (count := (mask & cmask).bit_count())
-        }
-        if tuple(corners_from_counts(counts)) == profile.triples:
-            return SearchOutcome(MonomialIdeal(profile.n, _generators(layers, masks)), examined)
-    return SearchOutcome(
-        None, examined,
+    profile, that is, which meets the pins of _profile_specs.  The search
+    walks through the largest corner degree j_1 and is complete: the top
+    nonzero row of a Betti table always contains an extremal corner, so a
+    realizing ideal has no generators above j_1."""
+    return _first_chain(
+        profile.n, _profile_specs(profile), budget, "profile",
         "no strongly stable ideal (hence, in characteristic 0, no homogeneous "
         "ideal) has exactly these extremal corners",
     )

@@ -62,16 +62,20 @@ class ExtremalProfile:
         return cls(n, tuple(sorted(triples)))
 
 
+def _shifted_counts(b, i, length) -> tuple:
+    """The first length class counts of the smallest strongly stable space
+    with b monomials in top class i + 1: shifts of b at index i."""
+    return tuple(macaulay_shift(b, i, t - 1 - i) for t in range(1, length + 1))
+
+
 def witness_count_vector(profile: ExtremalProfile, p: int) -> tuple:
     """For 2 <= p <= k: the count vector, truncated to the first
     i_{p-1} + 1 entries, of the smallest strongly stable ideal whose
-    top class i_p + 1 carries b_p generators in degree j_p.  Entry t is
-    the Macaulay shift of b_p at index i_p by t - 1 - i_p."""
+    top class i_p + 1 carries b_p generators in degree j_p."""
     if not 2 <= p <= profile.k:
         raise DomainError("p out of range 2..k")
-    i_prev = profile.triples[p - 2][0]
     i_p, _, b_p = profile.triples[p - 1]
-    return tuple(macaulay_shift(b_p, i_p, t - 1 - i_p) for t in range(1, i_prev + 2))
+    return _shifted_counts(b_p, i_p, profile.triples[p - 2][0] + 1)
 
 
 @dataclass(frozen=True)
@@ -123,10 +127,7 @@ def forced_counts(profile: ExtremalProfile) -> dict:
     for p in range(k - 1, 0, -1):
         i_p, j_p, b_p = t[p - 1]
         i_next, j_next, _ = t[p]
-        scaled = tuple(
-            macaulay_shift(total, i_next, s - 1 - i_next) for s in range(1, i_p + 2)
-        )
-        forced[p] = iterated_cumsum_last(scaled, j_p - j_next)
+        forced[p] = iterated_cumsum_last(_shifted_counts(total, i_next, i_p + 1), j_p - j_next)
         total = forced[p] + b_p
     return forced
 

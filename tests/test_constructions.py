@@ -165,6 +165,12 @@ def test_lexsegment_ideal_examples():
     assert lexsegment_ideal(2, 3, 1).gens == ((3, 0),)
     with pytest.raises(sb.DomainError):
         lexsegment_ideal(2, 2, 4)
+    # n and d are checked before mu, for the ideal and its count vector
+    for n, d, message in ((0, 2, "need at least one variable"), (2, 0, "degree must be positive"),
+                          (2, -1, "degree must be positive")):
+        for build in (lexsegment_ideal, lexsegment_count_vector):
+            with pytest.raises(sb.DomainError, match=message):
+                build(n, d, 1)
 
 
 def test_lower_segment_blocks_examples():

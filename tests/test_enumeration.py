@@ -1,17 +1,19 @@
 import math
 import random
 import time
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 
 import stablebetti as sb
 from stablebetti import enumeration
+from stablebetti.betti import corners_from_counts
 from stablebetti.enumeration import (
     _budgeted,
     _chains,
     _count_filters,
     _filters,
+    _generators,
     _linked_layers,
     _shadow,
     count_strongly_stable,
@@ -286,6 +288,81 @@ def test_search_budget():
     prof = sb.ExtremalProfile(4, ((2, 4, 1), (3, 2, 1)))
     with pytest.raises(sb.BudgetExceededError):
         search_extremal_profile(prof, budget=0)
+
+
+def _chain_counts(layers, masks):
+    """The nonzero (class, degree) counts of a chain's new generators."""
+    return {
+        (i, d): count
+        for d, (layer, mask) in enumerate(zip(layers, masks), 1)
+        for i, cmask in enumerate(layer.class_masks, 1)
+        if (count := (mask & cmask).bit_count())
+    }
+
+
+def _coarse_profile_hit(profile):
+    """An independent reading of the profile search: pin only the cells at
+    or above a corner (zero, or the corner's value), walk the chains and
+    take the first whose corners, computed from its (class, degree)
+    counts, are the profile."""
+    n = profile.n
+    j1 = profile.triples[0][1]
+    specs = {d: [None] * n for d in range(1, j1 + 1)}
+    for ip, jp, bp in profile.triples:
+        for d in range(jp, j1 + 1):
+            for i in range(ip + 1, n + 1):
+                specs[d][i - 1] = bp if (i - 1, d) == (ip, jp) else 0
+    layers = _linked_layers(n, j1)
+    for masks in _chains(layers, specs.__getitem__):
+        if tuple(corners_from_counts(_chain_counts(layers, masks))) == profile.triples:
+            return MonomialIdeal(n, _generators(layers, masks))
+    return None
+
+
+def test_profile_pins_are_exact():
+    # a chain meets a profile's pins exactly when its corners are the
+    # profile, over every chain of a few small bounds and every profile
+    # those chains realize (a corner in column 0 is no profile's)
+    for n, dmax in ((2, 5), (3, 4), (4, 3)):
+        layers = _linked_layers(n, dmax)
+        chains = []
+        for masks in _chains(layers, lambda d: None):
+            counts = _chain_counts(layers, masks)
+            chains.append((counts, tuple(corners_from_counts(counts))))
+        profiles = {corners for _, corners in chains if corners and corners[0][0] > 0}
+        assert len(profiles) > 10
+        for triples in profiles:
+            specs = enumeration._profile_specs(sb.ExtremalProfile(n, triples))
+            for counts, corners in chains:
+                meets = all(d <= len(specs) for _, d in counts) and all(
+                    pin is None or pin == counts.get((c + 1, d), 0)
+                    for d, row in enumerate(specs, 1)
+                    for c, pin in enumerate(row)
+                )
+                assert meets == (corners == triples), (n, triples, counts)
+
+
+def test_profile_pins_match_the_decision():
+    # every profile with n <= 4, corner degrees <= 5, at most 3 corners
+    # and values <= 4: the pins alone decide, as check_profile does, and
+    # the hit is the first chain the corner test picks from coarser pins
+    profiles = hits = 0
+    for n in (2, 3, 4):
+        for k in (1, 2, 3):
+            for cols in combinations(range(1, n), k):
+                for rows in combinations(range(5, 0, -1), k):
+                    for vals in product(range(1, 5), repeat=k):
+                        prof = sb.ExtremalProfile(n, tuple(zip(cols, rows, vals)))
+                        out = search_extremal_profile(prof)
+                        profiles += 1
+                        hits += out.ok
+                        assert out.ok == sb.check_profile(prof).ok, prof
+                        assert out.examined == int(out.ok)
+                        assert out.found == _coarse_profile_hit(prof), prof
+                        if out.ok:
+                            assert sb.verify_profile(out.found, prof)
+                            assert sb.is_strongly_stable(out.found)
+    assert (profiles, hits) == (1400, 217)
 
 
 def test_random_generator_properties():

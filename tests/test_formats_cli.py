@@ -156,6 +156,8 @@ def test_cli_construct(capsys):
 
     code, _, err = run_cli(capsys, "construct", "lexsegment", "--n", "3", "--d", "2", "--mu", "9")
     assert code == 2 and "input error" in err
+    code, _, err = run_cli(capsys, "construct", "lexsegment", "--n", "0", "--d", "2", "--mu", "1")
+    assert code == 2 and "need at least one variable" in err
 
 
 def test_cli_extremal(capsys):
