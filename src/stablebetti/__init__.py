@@ -58,21 +58,18 @@ from .extremal import (
 from .ideals import (
     GeneratorMatrix,
     MonomialIdeal,
-    component_ideal,
     count_vector,
     counts_to_matrix,
     generator_counts,
     generator_matrix,
     graded_component,
     hilbert_function,
-    ideal_sum,
     is_lexsegment,
     is_piecewise_lex_up_to,
     is_stable,
     is_strongly_stable,
     matrix_to_counts,
     minimalize,
-    restrict_to_subring,
     times_maximal,
 )
 from .macaulay import (
@@ -90,16 +87,9 @@ from .monomials import (
     deglex_compare,
     deglex_key,
     enumerate_degree,
-    kth_biggest_with_max_index,
     max_index,
     monomials_with_max_index,
 )
-from .oracle import (
-    SimplicialComplexSmall,
-    integer_matrix_rank,
-    oracle_betti,
-    reduced_homology_ranks,
-    upper_koszul,
-)
+from .oracle import integer_matrix_rank, oracle_betti
 
 __version__ = "0.1.0"

@@ -4,10 +4,15 @@ A strongly stable ideal with generators in degrees <= dmax is the same
 thing as a chain of monomial sets B_1 <= ... <= B_dmax where each B_d is
 closed under the exchange moves x_j -> x_i (i < j) inside degree d and
 contains the shadow x_1 B_{d-1} + ... + x_n B_{d-1}.  The walk below
-enumerates such chains degree by degree; per degree, the exchange-closed
-supersets of the shadow are enumerated by a bitmask DFS over the
+is a recursion over (degree, shadow): for each exchange-closed superset
+of the shadow it hands the set's own shadow to the next degree.  Per
+degree, those supersets are enumerated by a bitmask DFS over the
 monomials in descending order (an exchange move always produces an
 earlier monomial, so a monomial may enter only once its movers are in).
+What a (degree, shadow) pair yields depends on nothing else, so a pair
+that yielded no chain is dead and is not walked again.  Without pins
+every pair yields at least the chain that adds nothing, so only a
+search ever meets a dead pair.
 
 Counting does not visit each chain.  What a chain can become above
 degree d depends only on the shadow it hands to degree d + 1, so the
@@ -200,28 +205,35 @@ def _chains(layers, spec_for):
     set minus the shadow of the one below).
 
     spec_for(d) supplies the per-class new-generator counts for degree d
-    (or None).
+    (or None).  The pins depend on the degree alone, so a (degree, shadow)
+    pair that has yielded no chain yields none on a later visit either,
+    and the walk skips it.
     """
     top = len(layers) - 1
-    # one filter stream per open degree, with the shadow it extends;
-    # prefix holds the new-element masks of the degrees below the top one
-    stack = [(_filters(layers[0], 0, spec_for(1)), 0)]
-    prefix = ()
-    while stack:
-        stream, base = stack[-1]
-        di = len(stack) - 1
-        if di == top:
-            for mask in stream:
-                yield prefix + (mask & ~base,)
-        else:
-            mask = next(stream, None)
-            if mask is not None:
-                prefix += (mask & ~base,)
-                shadow = _shadow(layers[di], mask)
-                stack.append((_filters(layers[di + 1], shadow, spec_for(di + 2)), shadow))
+    specs = [spec_for(d) for d in range(1, top + 2)]
+    dead = set()
+
+    def walk(di, base, prefix):
+        # the chains from degree di + 1 upward whose set there contains
+        # base, as count_strongly_stable's chains_from counts them;
+        # returns whether there was any.  The depth is at most
+        # len(layers), which the degree cap bounds by 64.
+        layer = layers[di]
+        found = False
+        for mask in _filters(layer, base, specs[di]):
+            chain = prefix + (mask & ~base,)
+            if di == top:
+                found = True
+                yield chain
                 continue
-        stack.pop()
-        prefix = prefix[:-1]
+            shadow = _shadow(layer, mask)
+            if (di + 1, shadow) not in dead:
+                found |= yield from walk(di + 1, shadow, chain)
+        if not found:
+            dead.add((di, base))
+        return found
+
+    return walk(0, 0, ())
 
 
 def _generators(layers, masks):

@@ -27,8 +27,8 @@ class MonomialIdeal:
     """A monomial ideal given by its minimal generating set.
 
     Generators are stored deglex descending.  The zero ideal (empty
-    generating set) exists only as the output of component_ideal below
-    the initial degree; every other constructor rejects it.
+    generating set) is built only by MonomialIdeal.zero(n), where the
+    greedy realizer starts; every other constructor rejects it.
     """
 
     __slots__ = ("n", "gens")
@@ -99,38 +99,11 @@ def minimalize(n, raw) -> MonomialIdeal:
     return MonomialIdeal(n, kept)
 
 
-def ideal_sum(*ideals) -> MonomialIdeal:
-    ns = {I.n for I in ideals}
-    if len(ns) != 1:
-        raise DomainError("summands live in different rings")
-    gens = [g for I in ideals for g in I.gens]
-    return minimalize(ns.pop(), gens)
-
-
-def restrict_to_subring(I: MonomialIdeal, ell: int) -> MonomialIdeal:
-    """I intersected with the subring on the first ell variables, as an
-    ideal there.  May be zero."""
-    if not 1 <= ell <= I.n:
-        raise DomainError("subring index out of range")
-    gens = [g[:ell] for g in I.gens if max_index(g) <= ell]
-    if not gens:
-        return MonomialIdeal.zero(ell)
-    return MonomialIdeal(ell, gens)
-
-
 def graded_component(I: MonomialIdeal, d: int) -> list:
     """All degree-d monomials of I, deglex descending."""
     if d < 0:
         raise DomainError("degree must be nonnegative")
     return [u for u in enumerate_degree(I.n, d) if I.contains(u)]
-
-
-def component_ideal(I: MonomialIdeal, d: int) -> MonomialIdeal:
-    """Ideal generated by the degree-d part of I (possibly zero)."""
-    comp = graded_component(I, d)
-    if not comp:
-        return MonomialIdeal.zero(I.n)
-    return MonomialIdeal(I.n, comp)
 
 
 def times_maximal(I: MonomialIdeal, q: int) -> MonomialIdeal:

@@ -4,7 +4,7 @@ order with x_1 > x_2 > ... > x_n."""
 from __future__ import annotations
 
 from .errors import DomainError
-from .macaulay import binom, greedy_arg
+from .macaulay import binom
 
 # A monomial in n variables is a tuple of n nonnegative exponents.
 Monomial = tuple
@@ -102,30 +102,3 @@ def monomials_with_max_index(ell: int, d: int, n: int) -> list:
         w[ell - 1] += 1
         out.append(tuple(w) + pad)
     return out
-
-
-def kth_biggest_with_max_index(ell: int, k: int, d: int, n: int):
-    """The k-th biggest degree-d monomial with max index ell (k is 1-based)."""
-    bound = class_size(ell, d)
-    if not 1 <= k <= bound:
-        raise DomainError(
-            f"k={k} out of range: the class has binom({ell + d - 2},{ell - 1}) = {bound} monomials"
-        )
-    if not 1 <= ell <= n:
-        raise DomainError("max index out of range")
-    # Unrank x_ell's cofactor, the monomial of rank k - 1 among those of
-    # degree d - 1 in the first ell variables, deglex descending.  Of the
-    # degree-e monomials in m variables, binom(m - 2 + s, m - 1) have first
-    # exponent above e - s, so the first exponent is e - s for the largest
-    # s whose count is at most the rank.
-    w = [0] * n
-    rank, e = k - 1, d - 1
-    for t in range(ell - 1):
-        m = ell - t
-        top = greedy_arg(rank, m - 1)
-        rank -= binom(top, m - 1)
-        s = top - (m - 2)
-        w[t] = e - s
-        e = s
-    w[ell - 1] = e + 1
-    return tuple(w)

@@ -10,29 +10,11 @@ integer elimination, realizing the characteristic-0 convention.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import combinations, product
 
 from .betti import BettiTable
-from .errors import DEFAULT_BUDGET, BudgetExceededError, DomainError
+from .errors import DEFAULT_BUDGET, BudgetExceededError
 from .ideals import MonomialIdeal
-
-
-@dataclass(frozen=True)
-class SimplicialComplexSmall:
-    """Tiny simplicial complex: a downward-closed set of vertex subsets.
-    The empty face is present exactly when the complex is nonempty."""
-
-    vertices: tuple
-    faces: frozenset
-
-    def __post_init__(self):
-        for f in self.faces:
-            for v in f:
-                if v not in self.vertices:
-                    raise DomainError("face uses an unknown vertex")
-                if f - {v} not in self.faces:
-                    raise DomainError("face set is not downward closed")
 
 
 def _koszul_faces(b, inside) -> list:
@@ -48,15 +30,6 @@ def _koszul_faces(b, inside) -> list:
             if inside(tuple(m)):
                 faces.append(frozenset(t + 1 for t in tau))
     return faces
-
-
-def upper_koszul(I: MonomialIdeal, b) -> SimplicialComplexSmall:
-    """Faces are the squarefree subsets tau of the support of b with
-    x^b / x^tau still in the ideal."""
-    if len(b) != I.n:
-        raise DomainError("multidegree lives in a different ring")
-    supp = tuple(t + 1 for t, e in enumerate(b) if e > 0)
-    return SimplicialComplexSmall(supp, frozenset(_koszul_faces(b, I.contains)))
 
 
 def integer_matrix_rank(rows) -> int:
@@ -117,14 +90,6 @@ def _ranks_from_faces(faces):
         nk = len(faces_by_dim.get(k, []))
         ranks[k] = nk - boundary.get(k, 0) - boundary.get(k + 1, 0)
     return ranks
-
-
-def reduced_homology_ranks(C: SimplicialComplexSmall) -> dict:
-    """Ranks of reduced rational homology, keyed by dimension from -1 up
-    to the dimension of the complex.  The void complex has no entries."""
-    if not C.faces:
-        return {}
-    return _ranks_from_faces(C.faces)
 
 
 def _membership_table(I: MonomialIdeal, lcm_exp):

@@ -84,10 +84,7 @@ def _run_matrix_obstruction(fx, budget, context):
     outcome = search_matrix(M, budget=budget)
     if outcome.ok:
         return "fail", f"unexpected realization with generators {list(outcome.found.gens)}"
-    return "pass", (
-        f"necessary conditions hold yet no ideal exists "
-        f"({outcome.examined} candidates examined)"
-    )
+    return "pass", "necessary conditions hold yet exhaustive search finds no ideal"
 
 
 def _run_piecewise_lex(fx, budget, context):
@@ -181,10 +178,7 @@ def _run_extremal_branch(fx, budget, context):
                 f"numerical verdict ({verdict.ok}) and exhaustive search "
                 f"({outcome.ok}) disagree for b={fx['search_b']}"
             )
-        detail += (
-            f"; search over {outcome.examined} candidates confirms b={fx['search_b']} "
-            f"is not realizable"
-        )
+        detail += f"; exhaustive search confirms b={fx['search_b']} is not realizable"
     if "published_forced" in fx:
         detail += (
             f"; the published value {fx['published_forced']} disagrees with the "

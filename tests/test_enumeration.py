@@ -23,7 +23,7 @@ from stablebetti.enumeration import (
     search_matrix,
 )
 from stablebetti.ideals import GeneratorMatrix, MonomialIdeal
-from stablebetti.monomials import enumerate_degree, max_index, swap_variable
+from stablebetti.monomials import DEGREE_CAP, enumerate_degree, max_index, swap_variable
 
 
 def test_two_variable_degree_two_list():
@@ -118,6 +118,25 @@ def test_small_budget_stops_a_deep_walk_at_once():
             count_strongly_stable(4, 12, budget=budget)
         assert err.value.partial_count == budget
         assert time.perf_counter() - start < 2.0
+
+
+def test_a_search_miss_skips_dead_shadows():
+    # the pins depend on the degree alone, so a (degree, shadow) pair that
+    # yielded no chain is not walked again; without that, this miss in two
+    # variables takes time exponential in the corner degree
+    prof = sb.ExtremalProfile(2, ((1, 24, 26),))
+    start = time.perf_counter()
+    out = search_extremal_profile(prof)
+    assert time.perf_counter() - start < 1.0
+    assert out.found is None and out.note == PROFILE_MISS
+
+
+def test_walks_reach_the_degree_cap():
+    # the walk recurses once per degree, up to the cap
+    got = [I.gens for I in enumerate_strongly_stable(1, DEGREE_CAP, budget=DEGREE_CAP)]
+    assert got == [((d,),) for d in range(1, DEGREE_CAP + 1)]
+    out = search_extremal_profile(sb.ExtremalProfile(2, ((1, DEGREE_CAP, 1),)))
+    assert out.found == MonomialIdeal(2, [(DEGREE_CAP, 0), (DEGREE_CAP - 1, 1)])
 
 
 def test_small_budget_stops_a_wide_top_layer_at_once():

