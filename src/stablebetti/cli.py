@@ -177,13 +177,13 @@ def _cmd_construct(args):
     return 0
 
 
-def _search_confirmation(profile, budget):
+def _search_confirmation(profile):
     """Optional second opinion on an infeasible verdict: exhaustive search
     within the certifying bounds, offered at desk scale only."""
     j1 = profile.triples[0][1]
     if profile.n > 4 or j1 > 5:
         return "search confirmation only offered for n <= 4 and corner degrees <= 5"
-    outcome = search_extremal_profile(profile, budget=budget)
+    outcome = search_extremal_profile(profile)
     if outcome.found is None:
         return f"confirmed by exhaustive search: no strongly stable ideal within degree {j1}"
     return "WARNING: search found a realizing ideal, contradicting the verdict"
@@ -194,7 +194,7 @@ def _cmd_extremal(args):
     verdict = check_profile(profile)
     confirmation = None
     if args.confirm and not verdict.ok:
-        confirmation = _search_confirmation(profile, args.budget)
+        confirmation = _search_confirmation(profile)
     if args.what == "check":
         if args.json:
             payload = {
@@ -249,9 +249,9 @@ def _cmd_enumerate(args):
 def _cmd_search(args):
     if args.target == "matrix":
         M = parse_matrix_text(_read(args.matrix_file))
-        outcome = search_matrix(M, budget=args.budget)
+        outcome = search_matrix(M)
     else:
-        outcome = search_extremal_profile(parse_profile(args.profile, args.n), budget=args.budget)
+        outcome = search_extremal_profile(parse_profile(args.profile, args.n))
     if outcome.ok:
         print(format_ideal(outcome.found), end="")
         return 0
@@ -364,7 +364,6 @@ def build_parser():
             action="store_true",
             help="confirm an infeasible verdict by exhaustive search (desk scale)",
         )
-        add_budget(q, DEFAULT_BUDGET)
         q.set_defaults(func=_cmd_extremal)
 
     p = sub.add_parser("enumerate", help="stream all strongly stable ideals within bounds")
@@ -378,12 +377,10 @@ def build_parser():
     ssub = p.add_subparsers(dest="target", required=True)
     q = ssub.add_parser("matrix")
     q.add_argument("matrix_file")
-    add_budget(q, DEFAULT_BUDGET)
     q.set_defaults(func=_cmd_search)
     q = ssub.add_parser("profile")
     q.add_argument("--profile", required=True)
     q.add_argument("--n", type=int, required=True)
-    add_budget(q, DEFAULT_BUDGET)
     q.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("verify-paper", help="replay the built-in reference fixtures")

@@ -199,18 +199,17 @@ def _count_filters(layer: _Layer, base: int, room) -> int:
     return size
 
 
-def _chains(layers, spec_for):
+def _chains(layers, specs):
     """Yield every chain of exchange-closed sets for degrees 1..len(layers),
     depth first, as the tuple of its per-degree new-element masks (each
     set minus the shadow of the one below).
 
-    spec_for(d) supplies the per-class new-generator counts for degree d
-    (or None).  The pins depend on the degree alone, so a (degree, shadow)
-    pair that has yielded no chain yields none on a later visit either,
-    and the walk skips it.
+    specs[d - 1] holds the per-class new-generator counts for degree d
+    (None for a free degree).  The pins depend on the degree alone, so a
+    (degree, shadow) pair that has yielded no chain yields none on a later
+    visit either, and the walk skips it.
     """
     top = len(layers) - 1
-    specs = [spec_for(d) for d in range(1, top + 2)]
     dead = set()
 
     def walk(di, base, prefix):
@@ -249,18 +248,6 @@ def _generators(layers, masks):
     return gens
 
 
-def _budgeted(chains, budget, message):
-    """The nonempty chains, raising BudgetExceededError(message) at the
-    first one past the budget."""
-    seen = 0
-    for masks in chains:
-        if any(masks):
-            if seen >= budget:
-                raise BudgetExceededError(message, partial_count=seen)
-            seen += 1
-            yield masks
-
-
 def _canonical_key(gens):
     return (max(sum(g) for g in gens), tuple(deglex_key(g) for g in gens))
 
@@ -291,12 +278,15 @@ def enumerate_strongly_stable(n, dmax, budget=None):
     on the generator lists read by ascending degree and, within a degree,
     by descending deglex.
 
-    The default budget covers n <= 4 and dmax <= 5; pass an explicit
-    budget to go further.  Exceeding the budget raises
-    BudgetExceededError carrying the partial count.
+    The budget caps the number of ideals; the default covers n <= 4 and
+    dmax <= 5, so pass an explicit budget to go further.  The ideals are
+    counted before the first is built: past the budget, the first next()
+    raises BudgetExceededError carrying the partial count.
     """
     layers, cap, message = _walk_setup(n, dmax, budget)
-    chains = _budgeted(_chains(layers, lambda d: None), cap, message)
+    _count(layers, cap, message)
+    chains = _chains(layers, [None] * len(layers))
+    next(chains)  # the empty chain: the walk excludes before it includes
     for gens in sorted((_generators(layers, masks) for masks in chains), key=_canonical_key):
         yield MonomialIdeal(n, gens)
 
@@ -304,10 +294,15 @@ def enumerate_strongly_stable(n, dmax, budget=None):
 def count_strongly_stable(n, dmax, budget=None) -> int:
     """Number of ideals enumerate_strongly_stable would yield, under the
     same caps and errors, without materializing them or visiting each
-    chain: the chains above each (degree, shadow) pair are counted once
-    per call, and the top degree's sets are counted without listing
-    them."""
-    layers, cap, message = _walk_setup(n, dmax, budget)
+    chain."""
+    return _count(*_walk_setup(n, dmax, budget))
+
+
+def _count(layers, cap, message) -> int:
+    """The number of nonempty chains over layers, raising
+    BudgetExceededError(message) once it passes cap.  The chains above
+    each (degree, shadow) pair are counted once per call, and the top
+    degree's sets are counted without listing them."""
     top = len(layers) - 1
     memo = {}
     # chains found so far in walk order, the empty one included: a memo
@@ -346,7 +341,8 @@ class SearchOutcome:
     """Result of a complete search: the first hit, or a none-report that
     is a non-existence certificate, since each search walks to a depth
     that covers every candidate.  The pins decide a hit by themselves, so
-    a search examines only the walk's first chain: the hit, if any."""
+    a search examines only the walk's first chain: the hit, if any.  A
+    budget on candidates could only refuse a hit, so searches take none."""
 
     found: object  # MonomialIdeal or None
     note: str = ""
@@ -360,18 +356,19 @@ class SearchOutcome:
         return int(self.ok)
 
 
-def _first_chain(n, specs, budget, kind, miss) -> SearchOutcome:
-    """The walk's first nonempty chain under specs, the per-class pins of
-    degrees 1..len(specs), as a hit; or a none-report with note miss."""
+def _first_chain(n, specs, miss) -> SearchOutcome:
+    """The walk's first chain under specs, the per-class pins of degrees
+    1..len(specs), as a hit; or a none-report with note miss.  Every
+    search pins some degree to a positive count, so the chain is never
+    the empty one."""
     layers = _linked_layers(n, len(specs))
-    message = f"{kind} search exceeded the budget of {budget} candidates"
-    masks = next(_budgeted(_chains(layers, lambda d: specs[d - 1]), budget, message), None)
+    masks = next(_chains(layers, specs), None)
     if masks is None:
         return SearchOutcome(None, miss)
     return SearchOutcome(MonomialIdeal(n, _generators(layers, masks)))
 
 
-def search_matrix(M: GeneratorMatrix, *, budget=DEFAULT_BUDGET) -> SearchOutcome:
+def search_matrix(M: GeneratorMatrix) -> SearchOutcome:
     """First strongly stable ideal whose matrix of generators equals M.
 
     Any such ideal has all generators within the degree range of the
@@ -385,9 +382,7 @@ def search_matrix(M: GeneratorMatrix, *, budget=DEFAULT_BUDGET) -> SearchOutcome
     # row d-1, so the new generators pin row d; at the last row each
     # chain has exactly this matrix
     specs = [new_generator_row(canon, d) for d in range(1, canon.jmax + 1)]
-    return _first_chain(
-        canon.n, specs, budget, "matrix", "no strongly stable ideal has this matrix of generators"
-    )
+    return _first_chain(canon.n, specs, "no strongly stable ideal has this matrix of generators")
 
 
 def _profile_specs(profile):
@@ -405,14 +400,14 @@ def _profile_specs(profile):
     ]
 
 
-def search_extremal_profile(profile, *, budget=DEFAULT_BUDGET) -> SearchOutcome:
+def search_extremal_profile(profile) -> SearchOutcome:
     """First strongly stable ideal whose extremal corners are exactly the
     profile, that is, which meets the pins of _profile_specs.  The search
     walks through the largest corner degree j_1 and is complete: the top
     nonzero row of a Betti table always contains an extremal corner, so a
     realizing ideal has no generators above j_1."""
     return _first_chain(
-        profile.n, _profile_specs(profile), budget, "profile",
+        profile.n, _profile_specs(profile),
         "no strongly stable ideal (hence, in characteristic 0, no homogeneous "
         "ideal) has exactly these extremal corners",
     )

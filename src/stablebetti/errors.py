@@ -37,12 +37,13 @@ class InfeasibleProfileError(StableBettiError):
         self.check = check
 
 
-# Default of every budget: ideals walked, or multidegrees the oracle scans.
+# Default of every budget: ideals enumerated or counted, or multidegrees
+# the oracle scans.  Searches take no budget.
 DEFAULT_BUDGET = 2 * 10**6
 
 
 class BudgetExceededError(StableBettiError, RuntimeError):
-    """A search or oracle run hit its resource budget."""
+    """An enumeration, count or oracle run hit its resource budget."""
 
     def __init__(self, message, partial_count=None):
         super().__init__(message)

@@ -81,7 +81,7 @@ def _run_matrix_obstruction(fx, budget, context):
     check = check_matrix_necessary(M)
     if not check.ok:
         return "fail", f"necessary conditions unexpectedly fail: {check.failures()[0].detail}"
-    outcome = search_matrix(M, budget=budget)
+    outcome = search_matrix(M)
     if outcome.ok:
         return "fail", f"unexpected realization with generators {list(outcome.found.gens)}"
     return "pass", "necessary conditions hold yet exhaustive search finds no ideal"
@@ -172,7 +172,7 @@ def _run_extremal_branch(fx, budget, context):
             return "fail", f"recorded search depth {fx['search_dmax']} is not the top corner degree {j1}"
         profile = ExtremalProfile(n, ((i1, j1, fx["search_b"]), (i2, j2, a)))
         verdict = check_profile(profile)
-        outcome = search_extremal_profile(profile, budget=budget)
+        outcome = search_extremal_profile(profile)
         if verdict.ok != outcome.ok:
             return "fail", (
                 f"numerical verdict ({verdict.ok}) and exhaustive search "

@@ -9,7 +9,6 @@ import stablebetti as sb
 from stablebetti import enumeration
 from stablebetti.betti import corners_from_counts
 from stablebetti.enumeration import (
-    _budgeted,
     _chains,
     _count_filters,
     _filters,
@@ -107,9 +106,6 @@ def test_small_budget_stops_a_deep_walk_at_once():
     with pytest.raises(sb.BudgetExceededError) as err:
         list(enumerate_strongly_stable(4, 12, budget=1))
     assert err.value.partial_count == 1
-    with pytest.raises(sb.BudgetExceededError) as err:
-        search_extremal_profile(sb.ExtremalProfile(4, ((2, 12, 2),)), budget=0)
-    assert err.value.partial_count == 0
     assert time.perf_counter() - start < 2.0
     # counting adds a memoised count at once, and still stops at the budget
     for budget in (1, 1000):
@@ -180,7 +176,17 @@ def _outcome(count, n, dmax, budget):
 def _walked_count(n, dmax, budget):
     # reference: visit the nonempty chains one by one under the budget
     layers, cap, message = enumeration._walk_setup(n, dmax, budget)
-    return sum(1 for _ in _budgeted(_chains(layers, lambda d: None), cap, message))
+    seen = 0
+    for masks in _chains(layers, [None] * len(layers)):
+        if any(masks):
+            if seen >= cap:
+                raise sb.BudgetExceededError(message, partial_count=seen)
+            seen += 1
+    return seen
+
+
+def _enumerated_count(n, dmax, budget):
+    return sum(1 for _ in enumerate_strongly_stable(n, dmax, budget))
 
 
 def test_count_matches_the_chain_walk_under_every_budget():
@@ -189,7 +195,8 @@ def test_count_matches_the_chain_walk_under_every_budget():
         total = _walked_count(n, dmax, 10**6)
         for budget in (None, -1, 0, 1, 2, 3, 5, 17, total - 1, total, total + 1):
             expected = _outcome(_walked_count, n, dmax, budget)
-            assert _outcome(count_strongly_stable, n, dmax, budget) == expected, (n, dmax, budget)
+            for route in (count_strongly_stable, _enumerated_count):
+                assert _outcome(route, n, dmax, budget) == expected, (route, n, dmax, budget)
 
 
 def test_large_counts_pinned():
@@ -279,8 +286,8 @@ def test_search_matrix_negative_target():
 
 
 def test_search_depth_is_not_a_parameter():
-    # each search walks to the depth its input fixes; a stale positional
-    # depth is refused rather than taken as the budget
+    # each search walks to the depth its input fixes, and takes no budget:
+    # a stale positional depth or budget is refused
     M = GeneratorMatrix(2, 1, ((1, 1),))
     prof = sb.ExtremalProfile(4, ((2, 4, 1), (3, 2, 1)))
     with pytest.raises(TypeError):
@@ -289,6 +296,10 @@ def test_search_depth_is_not_a_parameter():
         search_matrix(M, dmax=2)
     with pytest.raises(TypeError):
         search_extremal_profile(prof, 4)
+    with pytest.raises(TypeError):
+        search_matrix(M, budget=0)
+    with pytest.raises(TypeError):
+        search_extremal_profile(prof, budget=0)
 
 
 def test_search_profile_positive_and_negative():
@@ -301,12 +312,6 @@ def test_search_profile_positive_and_negative():
     assert not sb.check_profile(bad).ok
     out = search_extremal_profile(bad)
     assert out.found is None and out.note.startswith("no strongly stable ideal")
-
-
-def test_search_budget():
-    prof = sb.ExtremalProfile(4, ((2, 4, 1), (3, 2, 1)))
-    with pytest.raises(sb.BudgetExceededError):
-        search_extremal_profile(prof, budget=0)
 
 
 def _chain_counts(layers, masks):
@@ -326,13 +331,13 @@ def _coarse_profile_hit(profile):
     counts, are the profile."""
     n = profile.n
     j1 = profile.triples[0][1]
-    specs = {d: [None] * n for d in range(1, j1 + 1)}
+    specs = [[None] * n for _ in range(j1)]
     for ip, jp, bp in profile.triples:
         for d in range(jp, j1 + 1):
             for i in range(ip + 1, n + 1):
-                specs[d][i - 1] = bp if (i - 1, d) == (ip, jp) else 0
+                specs[d - 1][i - 1] = bp if (i - 1, d) == (ip, jp) else 0
     layers = _linked_layers(n, j1)
-    for masks in _chains(layers, specs.__getitem__):
+    for masks in _chains(layers, specs):
         if tuple(corners_from_counts(_chain_counts(layers, masks))) == profile.triples:
             return MonomialIdeal(n, _generators(layers, masks))
     return None
@@ -345,7 +350,7 @@ def test_profile_pins_are_exact():
     for n, dmax in ((2, 5), (3, 4), (4, 3)):
         layers = _linked_layers(n, dmax)
         chains = []
-        for masks in _chains(layers, lambda d: None):
+        for masks in _chains(layers, [None] * dmax):
             counts = _chain_counts(layers, masks)
             chains.append((counts, tuple(corners_from_counts(counts))))
         profiles = {corners for _, corners in chains if corners and corners[0][0] > 0}
@@ -470,62 +475,59 @@ def test_filters_match_brute_force():
 
 
 def test_oversized_layers_are_not_cached():
-    # a budget-0 search still builds its layers; the degree-5..8 layers of
-    # nine variables (1,287 to 12,870 monomials) must not outlive it
-    with pytest.raises(sb.BudgetExceededError):
-        search_extremal_profile(sb.ExtremalProfile(9, ((1, 8, 1),)), budget=0)
+    # the degree-5..8 layers of nine variables (1,287 to 12,870 monomials)
+    # that this search builds must not outlive it
+    assert search_extremal_profile(sb.ExtremalProfile(9, ((1, 8, 1),))).ok
     sizes = {key: len(layer.mons) for key, layer in enumeration._layers.items()}
     assert all(size <= enumeration._CACHED_LAYER_SIZE for size in sizes.values())
     assert (9, 4) in sizes and (9, 5) not in sizes
 
 
 # Recorded outcomes of seeded searches: the input, the hit's generators
-# as exponent digits (or None for a miss), examined, and the
-# partial_count raised at budgets 0, 1 and 3 (None where the budget
-# held and the search gave its full outcome).
+# as exponent digits (or None for a miss) and examined.
 PROFILE_PINS = [
-    ((3, ((1, 5, 1), (2, 4, 1))), "230 400 310 301", 1, (0, None, None)),
-    ((5, ((1, 3, 4), (2, 2, 1))), None, 0, (None, None, None)),
-    ((3, ((1, 4, 1), (2, 3, 1))), "130 300 210 201", 1, (0, None, None)),
-    ((3, ((1, 4, 3), (2, 3, 1))), None, 0, (None, None, None)),
-    ((3, ((1, 4, 1), (2, 2, 1))), "040 200 110 101", 1, (0, None, None)),
-    ((4, ((2, 4, 1), (3, 3, 2))), "0400 0310 3000 2100 2010 2001 1200 1110 1101", 1, (0, None, None)),
-    ((4, ((2, 3, 1), (3, 2, 1))), "0300 0210 2000 1100 1010 1001", 1, (0, None, None)),
-    ((4, ((2, 4, 3), (3, 3, 1))), "1300 1210 1120 0400 0310 3000 2100 2010 2001", 1, (0, None, None)),
-    ((3, ((2, 2, 1),)), "200 110 101", 1, (0, None, None)),
-    ((3, ((2, 2, 2),)), "200 110 101 020 011", 1, (0, None, None)),
-    ((4, ((1, 1, 1),)), "1000 0100", 1, (0, None, None)),
-    ((4, ((1, 3, 4),)), None, 0, (None, None, None)),
-    ((5, ((1, 2, 1),)), "20000 11000", 1, (0, None, None)),
-    ((5, ((2, 2, 3),)), "20000 11000 10100 02000 01100 00200", 1, (0, None, None)),
-    ((3, ((2, 1, 1),)), "100 010 001", 1, (0, None, None)),
-    ((4, ((3, 3, 3),)), "3000 2100 2010 2001 1200 1110 1101 0300 0210 0201", 1, (0, None, None)),
-    ((3, ((1, 2, 2),)), "200 110 020", 1, (0, None, None)),
-    ((2, ((1, 2, 4),)), None, 0, (None, None, None)),
-    ((2, ((1, 2, 2),)), "20 11 02", 1, (0, None, None)),
-    ((5, ((3, 2, 3),)), "20000 11000 10100 10010 02000 01100 01010 00200 00110", 1, (0, None, None)),
+    ((3, ((1, 5, 1), (2, 4, 1))), "230 400 310 301", 1),
+    ((5, ((1, 3, 4), (2, 2, 1))), None, 0),
+    ((3, ((1, 4, 1), (2, 3, 1))), "130 300 210 201", 1),
+    ((3, ((1, 4, 3), (2, 3, 1))), None, 0),
+    ((3, ((1, 4, 1), (2, 2, 1))), "040 200 110 101", 1),
+    ((4, ((2, 4, 1), (3, 3, 2))), "0400 0310 3000 2100 2010 2001 1200 1110 1101", 1),
+    ((4, ((2, 3, 1), (3, 2, 1))), "0300 0210 2000 1100 1010 1001", 1),
+    ((4, ((2, 4, 3), (3, 3, 1))), "1300 1210 1120 0400 0310 3000 2100 2010 2001", 1),
+    ((3, ((2, 2, 1),)), "200 110 101", 1),
+    ((3, ((2, 2, 2),)), "200 110 101 020 011", 1),
+    ((4, ((1, 1, 1),)), "1000 0100", 1),
+    ((4, ((1, 3, 4),)), None, 0),
+    ((5, ((1, 2, 1),)), "20000 11000", 1),
+    ((5, ((2, 2, 3),)), "20000 11000 10100 02000 01100 00200", 1),
+    ((3, ((2, 1, 1),)), "100 010 001", 1),
+    ((4, ((3, 3, 3),)), "3000 2100 2010 2001 1200 1110 1101 0300 0210 0201", 1),
+    ((3, ((1, 2, 2),)), "200 110 020", 1),
+    ((2, ((1, 2, 4),)), None, 0),
+    ((2, ((1, 2, 2),)), "20 11 02", 1),
+    ((5, ((3, 2, 3),)), "20000 11000 10100 10010 02000 01100 01010 00200 00110", 1),
 ]
 MATRIX_PINS = [
-    ((2, 1, ((1, 1),)), "10 01", 1, (0, None, None)),
-    ((2, 1, ((0, 1),)), None, 0, (None, None, None)),
-    ((4, 1, ((1, 1, 0, 0), (1, 2, 3, 2), (1, 3, 6, 10))), "0012 0003 0020 1000 0100", 1, (0, None, None)),
-    ((2, 2, ((2, 2),)), None, 0, (None, None, None)),
-    ((4, 3, ((1, 0, 0, 0),)), "3000", 1, (0, None, None)),
-    ((5, 1, ((1, 0, 0, 0, 0), (1, 2, 3, 3, 2), (1, 3, 6, 10, 13))), "00102 00030 00021 02000 01100 01010 01001 00200 00110 10000", 1, (0, None, None)),
-    ((3, 1, ((1, 1, 0), (1, 2, 3))), "002 100 010", 1, (0, None, None)),
-    ((2, 3, ((1, 0), (1, 2))), "22 30", 1, (0, None, None)),
-    ((3, 1, ((1, 1, 1),)), "100 010 001", 1, (0, None, None)),
-    ((4, 1, ((1, 0, 1, 0), (1, 2, 3, 4))), None, 0, (None, None, None)),
-    ((5, 2, ((1, 0, 0, 0, 0), (1, 3, 2, 1, 1))), "12000 11100 03000 20000", 1, (0, None, None)),
-    ((5, 1, ((1, 0, 0, 0, 0), (1, 2, 2, 1, 1), (1, 3, 5, 7, 6))), None, 0, (None, None, None)),
-    ((5, 2, ((1, 1, 1, 0, 0), (1, 3, 3, 4, 3))), "10020 03000 20000 11000 10100", 1, (0, None, None)),
-    ((5, 1, ((1, 0, 0, 0, 0), (1, 2, 1, 1, 0))), None, 0, (None, None, None)),
-    ((4, 1, ((1, 1, 1, 0), (1, 2, 3, 3), (1, 3, 6, 10))), "0003 1000 0100 0010", 1, (0, None, None)),
-    ((4, 1, ((0, 0, 0, 0), (1, 1, 1, 1), (1, 3, 3, 4), (1, 4, 8, 11))), "0220 0300 2000 1100 1010 1001", 1, (0, None, None)),
-    ((4, 1, ((1, 0, 0, 0),)), "1000", 1, (0, None, None)),
-    ((4, 2, ((1, 2, 0, 0), (1, 3, 6, 3))), "1020 0120 0030 2000 1100 0200", 1, (0, None, None)),
-    ((4, 1, ((1, 1, 0, 0),)), "1000 0100", 1, (0, None, None)),
-    ((4, 1, ((1, 2, 0, 0),)), None, 0, (None, None, None)),
+    ((2, 1, ((1, 1),)), "10 01", 1),
+    ((2, 1, ((0, 1),)), None, 0),
+    ((4, 1, ((1, 1, 0, 0), (1, 2, 3, 2), (1, 3, 6, 10))), "0012 0003 0020 1000 0100", 1),
+    ((2, 2, ((2, 2),)), None, 0),
+    ((4, 3, ((1, 0, 0, 0),)), "3000", 1),
+    ((5, 1, ((1, 0, 0, 0, 0), (1, 2, 3, 3, 2), (1, 3, 6, 10, 13))), "00102 00030 00021 02000 01100 01010 01001 00200 00110 10000", 1),
+    ((3, 1, ((1, 1, 0), (1, 2, 3))), "002 100 010", 1),
+    ((2, 3, ((1, 0), (1, 2))), "22 30", 1),
+    ((3, 1, ((1, 1, 1),)), "100 010 001", 1),
+    ((4, 1, ((1, 0, 1, 0), (1, 2, 3, 4))), None, 0),
+    ((5, 2, ((1, 0, 0, 0, 0), (1, 3, 2, 1, 1))), "12000 11100 03000 20000", 1),
+    ((5, 1, ((1, 0, 0, 0, 0), (1, 2, 2, 1, 1), (1, 3, 5, 7, 6))), None, 0),
+    ((5, 2, ((1, 1, 1, 0, 0), (1, 3, 3, 4, 3))), "10020 03000 20000 11000 10100", 1),
+    ((5, 1, ((1, 0, 0, 0, 0), (1, 2, 1, 1, 0))), None, 0),
+    ((4, 1, ((1, 1, 1, 0), (1, 2, 3, 3), (1, 3, 6, 10))), "0003 1000 0100 0010", 1),
+    ((4, 1, ((0, 0, 0, 0), (1, 1, 1, 1), (1, 3, 3, 4), (1, 4, 8, 11))), "0220 0300 2000 1100 1010 1001", 1),
+    ((4, 1, ((1, 0, 0, 0),)), "1000", 1),
+    ((4, 2, ((1, 2, 0, 0), (1, 3, 6, 3))), "1020 0120 0030 2000 1100 0200", 1),
+    ((4, 1, ((1, 1, 0, 0),)), "1000 0100", 1),
+    ((4, 1, ((1, 2, 0, 0),)), None, 0),
 ]
 
 
@@ -536,28 +538,19 @@ PROFILE_MISS = (
 MATRIX_MISS = "no strongly stable ideal has this matrix of generators"
 
 
-def _search_record(search, target, budget):
-    try:
-        out = search(target) if budget is None else search(target, budget=budget)
-    except sb.BudgetExceededError as err:
-        return str(err), err.partial_count
+def _search_record(search, target):
+    out = search(target)
     found = out.found and " ".join("".join(map(str, g)) for g in out.found.gens)
     return found, out.examined, out.note
 
 
 def test_search_outcomes_pinned():
     # a pruning change that keeps every hit but alters what the walk
-    # yields changes a hit, examined or a budget outcome here
-    for search, make, kind, miss, pins in (
-        (search_extremal_profile, lambda a: sb.ExtremalProfile(*a), "profile", PROFILE_MISS,
-         PROFILE_PINS),
-        (search_matrix, lambda a: GeneratorMatrix(*a), "matrix", MATRIX_MISS, MATRIX_PINS),
+    # yields changes a hit or examined here
+    for search, make, miss, pins in (
+        (search_extremal_profile, lambda a: sb.ExtremalProfile(*a), PROFILE_MISS, PROFILE_PINS),
+        (search_matrix, lambda a: GeneratorMatrix(*a), MATRIX_MISS, MATRIX_PINS),
     ):
-        for arg, found, examined, partials in pins:
-            target = make(arg)
+        for arg, found, examined in pins:
             full = (found, examined, "" if found else miss)
-            assert _search_record(search, target, None) == full, arg
-            for budget, partial in zip((0, 1, 3), partials):
-                expected = full if partial is None else (
-                    f"{kind} search exceeded the budget of {budget} candidates", partial)
-                assert _search_record(search, target, budget) == expected, (arg, budget)
+            assert _search_record(search, make(arg)) == full, arg

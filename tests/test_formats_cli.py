@@ -295,12 +295,24 @@ def test_cli_budget_zero_is_honoured(tmp_path, capsys):
     path.write_text("n=2\n2 0\n1 1\n0 2\n")
     code, _, err = run_cli(capsys, "betti", str(path), "--method", "oracle", "--budget", "0")
     assert code == 3 and "budget" in err
-    code, _, err = run_cli(
-        capsys, "search", "profile", "--profile", "2,4,1;3,2,1", "--n", "4", "--budget", "0"
-    )
+    code, _, err = run_cli(capsys, "enumerate", "--n", "2", "--dmax", "2", "--budget", "0")
     assert code == 3 and "budget" in err
     code, out, _ = run_cli(capsys, "verify-paper", "--budget", "0")
     assert code == 3 and "SKIP" in out
+    # a search examines at most one candidate, so a budget could only
+    # refuse a hit; searches take none, and --confirm is bounded by its
+    # desk-scale gate instead
+    mfile = tmp_path / "m.txt"
+    mfile.write_text("n=4 jmin=2\n1 2 0 0\n1 3 3 4\n")
+    for argv in (
+        ["search", "matrix", str(mfile), "--budget", "0"],
+        ["search", "profile", "--profile", "2,4,1;3,2,1", "--n", "4", "--budget", "0"],
+        ["extremal", "check", "--profile", "2,4,5;3,2,1", "--n", "4", "--confirm", "--budget", "0"],
+        ["extremal", "construct", "--profile", "2,4,5;3,2,1", "--n", "4", "--confirm", "--budget", "0"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
 
 
 def test_cli_negative_budget_is_malformed(tmp_path):
