@@ -6,6 +6,7 @@ greedy matrix realizer."""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from .errors import DomainError
 from .ideals import (
@@ -48,7 +49,7 @@ def piecewise_lexsegment(d: int, counts) -> tuple:
             raise DomainError(
                 f"class {i} has only {avail} monomials of degree {d}, requested {c}"
             )
-        gens.extend(monomials_with_max_index(i, d, n)[:c])
+        gens.extend(islice(monomials_with_max_index(i, d, n), c))
     ideal = MonomialIdeal(n, gens)
     return ideal, is_strongly_stable(ideal)
 
@@ -148,7 +149,7 @@ def _lexsegment_bound(n: int, d: int, mu: int) -> int:
 def lexsegment_ideal(n: int, d: int, mu: int) -> MonomialIdeal:
     """Ideal generated by the mu biggest monomials of degree d."""
     _lexsegment_bound(n, d, mu)
-    return MonomialIdeal(n, enumerate_degree(n, d)[:mu])
+    return MonomialIdeal(n, islice(iter_degree(n, d), mu))
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,9 @@ of the shadow it hands the set's own shadow to the next degree.  Per
 degree, those supersets are enumerated by a bitmask DFS over the
 monomials in descending order (an exchange move always produces an
 earlier monomial, so a monomial may enter only once its movers are in).
+Each degree's layer owns the masks into it, the exchange moves within
+the degree and the multiplications from the degree below, and is never
+changed once built, so a cached layer serves every call as it is.
 What a (degree, shadow) pair yields depends on nothing else, so a pair
 that yielded no chain is dead and is not walked again.  Without pins
 every pair yields at least the chain that adds nothing, so only a
@@ -38,28 +41,31 @@ from dataclasses import dataclass
 
 from .errors import DEFAULT_BUDGET, BudgetExceededError, DomainError
 from .ideals import GeneratorMatrix, MonomialIdeal, new_generator_row
-from .monomials import deglex_key, enumerate_degree, max_index, swap_variable
+from .macaulay import binom
+from .monomials import deglex_key, enumerate_degree, iter_degree, max_index, swap_variable
 
 DEFAULT_ENUM_N = 4
 DEFAULT_ENUM_DMAX = 5
 
 
 class _Layer:
-    """Degree slice of the monomial poset with precomputed move masks."""
+    """Degree-d slice of the monomial poset with its move masks and the
+    multiplication masks into it from degree d - 1, all built in __init__;
+    a layer is never changed afterwards."""
 
-    __slots__ = ("n", "mons", "index", "parents", "need", "cls", "class_masks", "mult")
+    __slots__ = ("n", "mons", "parents", "need", "cls", "class_masks", "up")
 
     def __init__(self, n, d):
         self.n = n
         self.mons = enumerate_degree(n, d)
-        self.index = {u: t for t, u in enumerate(self.mons)}
+        index = {u: t for t, u in enumerate(self.mons)}
         self.parents = []
         self.cls = [max_index(u) for u in self.mons]
         for u in self.mons:
             mask = 0
             for j in range(2, n + 1):
                 if u[j - 1]:
-                    mask |= 1 << self.index[swap_variable(u, j, j - 1)]
+                    mask |= 1 << index[swap_variable(u, j, j - 1)]
             self.parents.append(mask)
         # need[t]: the positions a parents test at t or later reads
         self.need = [0] * (len(self.mons) + 1)
@@ -69,7 +75,12 @@ class _Layer:
         self.class_masks = [0] * n
         for t, i in enumerate(self.cls):
             self.class_masks[i - 1] |= 1 << t
-        self.mult = None  # filled when the next layer exists
+        # up[s]: the positions of x_1 v, ..., x_n v (all distinct) for the
+        # s-th monomial v of degree d - 1
+        self.up = [
+            sum(1 << index[v[:t] + (v[t] + 1,) + v[t + 1:]] for t in range(n))
+            for v in iter_degree(n, d - 1)
+        ]
 
 
 # Layers of at most this many monomials stay cached for the life of the
@@ -90,30 +101,18 @@ def _layer(n, d) -> _Layer:
     return layer
 
 
-def _linked_layers(n, dmax) -> list:
-    """The layers of degrees 1..dmax, each with the multiplication masks
-    into the next."""
-    layers = [_layer(n, d) for d in range(1, dmax + 1)]
-    for layer, nxt in zip(layers, layers[1:]):
-        if layer.mult is None:
-            mult = []
-            for u in layer.mons:
-                mask = 0
-                for t in range(layer.n):
-                    w = list(u)
-                    w[t] += 1
-                    mask |= 1 << nxt.index[tuple(w)]
-                mult.append(mask)
-            layer.mult = mult
-    return layers
+def _walk_layers(n, dmax) -> list:
+    """The layers of degrees 1..dmax."""
+    return [_layer(n, d) for d in range(1, dmax + 1)]
 
 
 def _shadow(layer: _Layer, mask: int) -> int:
+    """The shadow in layer of the set mask of the degree below."""
     out = 0
-    mult = layer.mult
+    up = layer.up
     while mask:
         low = mask & -mask
-        out |= mult[low.bit_length() - 1]
+        out |= up[low.bit_length() - 1]
         mask ^= low
     return out
 
@@ -225,7 +224,7 @@ def _chains(layers, specs):
                 found = True
                 yield chain
                 continue
-            shadow = _shadow(layer, mask)
+            shadow = _shadow(layers[di + 1], mask)
             if (di + 1, shadow) not in dead:
                 found |= yield from walk(di + 1, shadow, chain)
         if not found:
@@ -265,10 +264,12 @@ def _walk_setup(n, dmax, budget):
         )
     cap = budget if budget is not None else DEFAULT_BUDGET
     message = f"enumeration exceeded the budget of {cap} ideals"
-    if cap == 0:
-        # every bound has the nonempty chain (x_1), so no layer is needed
-        raise BudgetExceededError(message, partial_count=0)
-    return _linked_layers(n, dmax), cap, message
+    # each monomial u of degree 1..dmax generates its own ideal (the Borel
+    # closure of u has u as its one Borel-minimal generator), so a cap
+    # below their number fails here as _count would fail on it later
+    if binom(n + dmax, dmax) - 1 > cap:
+        raise BudgetExceededError(message, partial_count=max(cap, 0))
+    return _walk_layers(n, dmax), cap, message
 
 
 def enumerate_strongly_stable(n, dmax, budget=None):
@@ -313,7 +314,7 @@ def _count(layers, cap, message) -> int:
         nonlocal total
         total += found
         if total > cap + 1:
-            raise BudgetExceededError(message, partial_count=max(cap, 0))
+            raise BudgetExceededError(message, partial_count=cap)
 
     def chains_from(di, base):
         # the chains from degree di + 1 upward whose set there contains base
@@ -328,8 +329,9 @@ def _count(layers, cap, message) -> int:
             tally(found)
         else:
             found = 0
+            above = layers[di + 1]
             for mask in _filters(layer, base, None):
-                found += chains_from(di + 1, _shadow(layer, mask))
+                found += chains_from(di + 1, _shadow(above, mask))
         memo[key] = found
         return found
 
@@ -361,7 +363,7 @@ def _first_chain(n, specs, miss) -> SearchOutcome:
     1..len(specs), as a hit; or a none-report with note miss.  Every
     search pins some degree to a positive count, so the chain is never
     the empty one."""
-    layers = _linked_layers(n, len(specs))
+    layers = _walk_layers(n, len(specs))
     masks = next(_chains(layers, specs), None)
     if masks is None:
         return SearchOutcome(None, miss)
@@ -419,13 +421,12 @@ def random_strongly_stable(n, dmax, rng: random.Random) -> MonomialIdeal:
     to three new generators per degree."""
     if n < 1 or dmax < 1:
         raise DomainError("need n >= 1 and dmax >= 1")
-    layers = _linked_layers(n, dmax)
+    layers = _walk_layers(n, dmax)
     while True:
         gens = []
-        mask = 0
-        for di, layer in enumerate(layers):
-            base = mask
-            cur = base
+        cur = 0
+        for layer in layers:
+            cur = _shadow(layer, cur)
             want = rng.randint(0, 3)
             for _ in range(want):
                 addable = [
@@ -438,6 +439,5 @@ def random_strongly_stable(n, dmax, rng: random.Random) -> MonomialIdeal:
                 t = rng.choice(addable)
                 cur |= 1 << t
                 gens.append(layer.mons[t])
-            mask = _shadow(layer, cur) if di + 1 < dmax else 0
         if gens:
             return MonomialIdeal(n, gens)

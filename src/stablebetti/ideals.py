@@ -9,6 +9,7 @@ with max index i (the generators of the degree-j component ideal).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 
 from .errors import DomainError, NotStableError, UnitIdealError
 from .monomials import (
@@ -178,8 +179,7 @@ def is_piecewise_lex_up_to(I: MonomialIdeal, ell: int) -> bool:
     d = degs.pop()
     for i in range(1, ell + 1):
         mine = {g for g in I.gens if max_index(g) == i}
-        top = monomials_with_max_index(i, d, I.n)[: len(mine)]
-        if mine != set(top):
+        if mine != set(islice(monomials_with_max_index(i, d, I.n), len(mine))):
             return False
     return True
 

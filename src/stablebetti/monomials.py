@@ -85,8 +85,8 @@ def class_size(ell: int, d: int) -> int:
     return binom(ell + d - 2, d - 1)
 
 
-def monomials_with_max_index(ell: int, d: int, n: int) -> list:
-    """Degree-d monomials with max index ell, deglex descending.
+def monomials_with_max_index(ell: int, d: int, n: int):
+    """Yield the degree-d monomials with max index ell, deglex descending.
 
     These are x_ell times the degree-(d-1) monomials in the first ell
     variables, and that bijection preserves the order.
@@ -96,9 +96,4 @@ def monomials_with_max_index(ell: int, d: int, n: int) -> list:
     if d < 1:
         raise DomainError("degree must be positive")
     pad = (0,) * (n - ell)
-    out = []
-    for v in enumerate_degree(ell, d - 1):
-        w = list(v)
-        w[ell - 1] += 1
-        out.append(tuple(w) + pad)
-    return out
+    return (v[:-1] + (v[-1] + 1,) + pad for v in iter_degree(ell, d - 1))

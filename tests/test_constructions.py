@@ -123,7 +123,7 @@ def test_subring_lexsegment_is_smallest_strongly_stable(corpus_n3):
             for ell in range(1, n + 1):
                 for k in range(1, class_size(ell, d) + 1):
                     U = subring_lexsegment_ideal(ell, k, d, n)
-                    top = monomials_with_max_index(ell, d, n)[:k]
+                    top = list(monomials_with_max_index(ell, d, n))[:k]
                     assert all(U.contains(u) for u in top)
                     assert sb.is_strongly_stable(U)
                     # any strongly stable ideal containing the top-k class
@@ -246,6 +246,14 @@ def test_check_matrix_necessary_examples():
     chk = check_matrix_necessary(bad)
     assert not chk.ok
     assert any(it.j == 6 and it.condition == "cumulative" for it in chk.failures())
+
+
+def test_check_matrix_necessary_rejects_a_non_o_sequence_row():
+    chk = check_matrix_necessary(GeneratorMatrix(3, 2, ((1, 0, 1),)))
+    assert not chk.ok
+    assert [(it.j, it.condition, it.detail) for it in chk.failures()] == [
+        (2, "row", "(1, 0, 1) is not an O-sequence")
+    ]
 
 
 def test_checker_items_pinned():

@@ -13,8 +13,8 @@ from stablebetti.enumeration import (
     _count_filters,
     _filters,
     _generators,
-    _linked_layers,
     _shadow,
+    _walk_layers,
     count_strongly_stable,
     enumerate_strongly_stable,
     random_strongly_stable,
@@ -147,18 +147,43 @@ def test_small_budget_stops_a_wide_top_layer_at_once():
         assert time.perf_counter() - start < 0.5, (n, dmax)
 
 
-def test_budget_zero_builds_no_layers():
-    # every bound holds the chain (x_1), so budget 0 stops before the
-    # walk builds a layer; (11, 9) has 92,378 monomials of degree 9
+def test_budget_zero_builds_no_layers(monkeypatch):
+    # each monomial of degree 1..dmax generates its own ideal, so a budget
+    # below their number, binom(n + dmax, dmax) - 1, stops before the walk
+    # builds a layer; (11, 9) has 92,378 monomials of degree 9
+    built = []
+
+    class CountedLayer(enumeration._Layer):
+        __slots__ = ()
+
+        def __init__(self, n, d):
+            built.append((n, d))
+            super().__init__(n, d)
+
+    monkeypatch.setattr(enumeration, "_Layer", CountedLayer)
     start = time.perf_counter()
-    with pytest.raises(sb.BudgetExceededError) as err:
-        count_strongly_stable(11, 9, budget=0)
-    assert err.value.partial_count == 0
-    assert str(err.value) == "enumeration exceeded the budget of 0 ideals"
-    with pytest.raises(sb.BudgetExceededError) as err:
-        next(enumerate_strongly_stable(11, 9, budget=0))
-    assert err.value.partial_count == 0
+    for budget in (0, 1, math.comb(20, 9) - 2):
+        with pytest.raises(sb.BudgetExceededError) as err:
+            count_strongly_stable(11, 9, budget=budget)
+        assert err.value.partial_count == budget
+        assert str(err.value) == f"enumeration exceeded the budget of {budget} ideals"
+        with pytest.raises(sb.BudgetExceededError) as err:
+            next(enumerate_strongly_stable(11, 9, budget=budget))
+        assert err.value.partial_count == budget
+    assert built == []
     assert time.perf_counter() - start < 1.0
+
+
+def test_walk_bounds_must_be_positive():
+    rng = random.Random(0)
+    for n, dmax in ((0, 2), (2, 0)):
+        for run in (
+            lambda: count_strongly_stable(n, dmax),
+            lambda: next(enumerate_strongly_stable(n, dmax)),
+            lambda: random_strongly_stable(n, dmax, rng),
+        ):
+            with pytest.raises(sb.DomainError, match="need n >= 1 and dmax >= 1"):
+                run()
 
 
 def test_count_matches_enumeration():
@@ -227,10 +252,10 @@ def test_count_filters_matches_the_listing():
     # per layer, against _filters over every base the count meets: 0 and
     # the shadow of each closed set one degree down
     for n, d in [(n, d) for n in range(1, 6) for d in range(1, 5)] + [(2, 10)]:
-        layers = _linked_layers(n, d)
+        layers = _walk_layers(n, d)
         bases = {0}
         if d > 1:
-            bases |= {_shadow(layers[-2], mask) for mask in _filters(layers[-2], 0, None)}
+            bases |= {_shadow(layers[-1], mask) for mask in _filters(layers[-2], 0, None)}
         for base in bases:
             listed = sum(1 for _ in _filters(layers[-1], base, None))
             assert _count_filters(layers[-1], base, math.inf) == listed, (n, d, base)
@@ -336,7 +361,7 @@ def _coarse_profile_hit(profile):
         for d in range(jp, j1 + 1):
             for i in range(ip + 1, n + 1):
                 specs[d - 1][i - 1] = bp if (i - 1, d) == (ip, jp) else 0
-    layers = _linked_layers(n, j1)
+    layers = _walk_layers(n, j1)
     for masks in _chains(layers, specs):
         if tuple(corners_from_counts(_chain_counts(layers, masks))) == profile.triples:
             return MonomialIdeal(n, _generators(layers, masks))
@@ -348,7 +373,7 @@ def test_profile_pins_are_exact():
     # profile, over every chain of a few small bounds and every profile
     # those chains realize (a corner in column 0 is no profile's)
     for n, dmax in ((2, 5), (3, 4), (4, 3)):
-        layers = _linked_layers(n, dmax)
+        layers = _walk_layers(n, dmax)
         chains = []
         for masks in _chains(layers, [None] * dmax):
             counts = _chain_counts(layers, masks)
@@ -441,7 +466,7 @@ def test_filters_match_brute_force():
     rng = random.Random(11)
     nonempty = 0
     for n, d in ((2, 1), (2, 5), (3, 1), (3, 2), (3, 3), (4, 2)):
-        layer = _linked_layers(n, d)[-1]
+        layer = _walk_layers(n, d)[-1]
         closed = _closed_sets(n, d)
         # the bases are the shadows of closed sets one degree down
         below = _closed_sets(n, d - 1) if d > 1 else [()]
@@ -463,7 +488,7 @@ def test_filters_match_brute_force():
                     tgt is None or tgt == c for tgt, c in zip(spec, counts)
                 )):
                     expected.add(full)
-            base = sum(1 << layer.index[u] for u in shadow)
+            base = sum(1 << layer.mons.index(u) for u in shadow)
             got = [
                 frozenset(u for t, u in enumerate(layer.mons) if mask >> t & 1)
                 for mask in _filters(layer, base, spec)

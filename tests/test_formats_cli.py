@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -160,6 +161,43 @@ def test_cli_construct(capsys):
     assert code == 2 and "need at least one variable" in err
 
 
+def test_cli_construct_lists_only_what_it_prints(capsys):
+    # a prefix of a degree or a class is taken lazily, so its cost does
+    # not grow with the degree and the degree cap does not refuse it
+    for argv in (
+        ("construct", "lexsegment", "--n", "6", "--d", "40", "--mu", "3"),
+        ("construct", "piecewise-lex", "--d", "40", "--counts", "1,1,1,1,1,1"),
+    ):
+        start = time.perf_counter()
+        code, out, _ = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 0.1, argv
+        assert code == 0 and out.splitlines()[-1].startswith("39 ")
+    code, out, _ = run_cli(capsys, "construct", "lexsegment", "--n", "2", "--d", "100", "--mu", "3")
+    assert code == 0
+    assert out.splitlines() == ["n=2", "100 0", "99 1", "98 2"]
+
+
+def test_cli_json_shapes(tmp_path, capsys):
+    code, out, _ = run_cli(capsys, "macaulay", "rep", "5", "2", "--json")
+    assert code == 0 and json.loads(out) == {"a": 5, "d": 2, "ks": [3, 2]}
+    ideal = tmp_path / "ideal.txt"
+    ideal.write_text("n=3\n2 0 0\n1 1 0\n1 0 1\n0 3 0\n")
+    code, out, _ = run_cli(capsys, "matrix", str(ideal), "--json")
+    assert code == 0 and json.loads(out) == {"n": 3, "jmin": 2, "rows": [[1, 1, 1], [1, 3, 3]]}
+    matrix = tmp_path / "m.txt"
+    matrix.write_text("n=3 jmin=2\n1 0 1\n")
+    code, out, _ = run_cli(capsys, "check-matrix", str(matrix), "--json")
+    assert code == 1
+    assert json.loads(out) == {
+        "ok": False,
+        "items": [
+            {"j": 2, "condition": "row", "ok": False, "detail": "(1, 0, 1) is not an O-sequence"},
+            {"j": 2, "condition": "cumulative", "ok": True,
+             "detail": "row dominates previous-row prefix sums"},
+        ],
+    }
+
+
 def test_cli_extremal(capsys):
     code, out, _ = run_cli(capsys, "extremal", "check", "--profile", "2,4,4;3,2,1", "--n", "4")
     assert code == 0 and out.splitlines()[-1] == "pass"
@@ -243,6 +281,11 @@ def test_cli_enumerate_and_search(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "search", "profile", "--profile", "2,4,1;3,2,1", "--n", "4")
     assert code == 0
     assert sb.extremal_from_stable(parse_ideal_text(out)) == [(2, 4, 1), (3, 2, 1)]
+
+    zero = tmp_path / "zero.txt"
+    zero.write_text("n=3 jmin=2\n0 0 0\n")
+    code, _, err = run_cli(capsys, "search", "matrix", str(zero))
+    assert code == 2 and "zero matrix" in err
 
 
 def test_cli_betti_mismatch_tripwire(tmp_path, capsys, monkeypatch):

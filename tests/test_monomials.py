@@ -61,7 +61,7 @@ def test_class_sizes_match_enumeration():
             for ell in range(1, n + 1):
                 filtered = [u for u in enumerate_degree(n, d) if max_index(u) == ell]
                 assert len(filtered) == class_size(ell, d) == binom(ell + d - 2, d - 1)
-                assert monomials_with_max_index(ell, d, n) == filtered
+                assert list(monomials_with_max_index(ell, d, n)) == filtered
 
 
 def test_kth_biggest_examples():
