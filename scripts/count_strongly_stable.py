@@ -1,9 +1,10 @@
 #!/usr/bin/env python3
 """Tabulate how many strongly stable ideals live within each (n, dmax)
 bound.  On a 2-vCPU machine (Python 3.11) the n=4, dmax=5 cell (683,462
-ideals, --max-dmax 5) takes about 0.08 s.  Cells past n=4, dmax=5 need
+ideals, --max-dmax 5) takes about 0.01 s.  Cells past n=4, dmax=5 need
 --budget; with it, (4, 6) and (6, 4) both hold 161,960,218 ideals and
-take about 2.6 s and 4.6 s."""
+take about 0.06 s and 0.14 s, and (5, 5) holds 2,725,285,449 and takes
+about 0.5 s."""
 
 import argparse
 import time

@@ -17,14 +17,14 @@ that yielded no chain is dead and is not walked again.  Without pins
 every pair yields at least the chain that adds nothing, so only a
 search ever meets a dead pair.
 
-Counting does not visit each chain.  What a chain can become above
-degree d depends only on the shadow it hands to degree d + 1, so the
-number of chains above each (degree, shadow) pair is computed once per
-call and reused (the transfer-matrix method).  The lower degrees list
-their sets, whose shadows key that memo; the top degree lists none and
-counts its sets in one pass over the positions, keeping only what later
-exchange tests read (frontier-based counting, as in decision-diagram
-construction).
+Counting does not visit each chain, nor list any degree's sets.  What a
+chain can become above degree d depends only on the shadow it hands to
+degree d + 1, so counting runs forward, one pass over the positions per
+degree, carrying each state with the number of chain prefixes that reach
+it (the transfer-matrix method).  A state keeps only what a later
+exchange test reads and the shadow built so far (frontier-based
+counting, as in decision-diagram construction), and the states that end
+a degree fold to their shadows, which start the next.
 
 Searches prune with per-degree, per-class counts of new generators (the
 elements of B_d outside the shadow).  A generator-matrix target pins
@@ -162,42 +162,6 @@ def _filters(layer: _Layer, base: int, spec):
             yield cur
 
 
-def _count_filters(layer: _Layer, base: int, room) -> int:
-    """The number of exchange-closed supersets of base, counted without
-    listing them; once the count passes room, some number above room.
-
-    One pass over the positions outside base in index order, whose states
-    are the chosen sets cut down to the positions a later parents test
-    reads, each with its multiplicity.  Every partial set extends to at
-    least the set that excludes all the rest, so size, one plus the
-    multiplicities of the includes so far, only grows towards the count
-    (it ends equal to the sum of the multiplicities).
-    """
-    parents = layer.parents
-    need = layer.need
-    states = {base: 1}
-    size = 1
-    for t, p in enumerate(parents):
-        if base >> t & 1:
-            continue
-        bit = 1 << t
-        keep = need[t + 1]
-        nxt = {}
-        added = 0
-        for cur, m in states.items():
-            s = cur & keep
-            nxt[s] = nxt.get(s, 0) + m
-            if p & ~cur == 0:
-                s = (cur | bit) & keep
-                nxt[s] = nxt.get(s, 0) + m
-                added += m
-        states = nxt
-        size += added
-        if size > room:
-            break
-    return size
-
-
 def _chains(layers, specs):
     """Yield every chain of exchange-closed sets for degrees 1..len(layers),
     depth first, as the tuple of its per-degree new-element masks (each
@@ -213,8 +177,7 @@ def _chains(layers, specs):
 
     def walk(di, base, prefix):
         # the chains from degree di + 1 upward whose set there contains
-        # base, as count_strongly_stable's chains_from counts them;
-        # returns whether there was any.  The depth is at most
+        # base; returns whether there was any.  The depth is at most
         # len(layers), which the degree cap bounds by 64.
         layer = layers[di]
         found = False
@@ -301,41 +264,52 @@ def count_strongly_stable(n, dmax, budget=None) -> int:
 
 def _count(layers, cap, message) -> int:
     """The number of nonempty chains over layers, raising
-    BudgetExceededError(message) once it passes cap.  The chains above
-    each (degree, shadow) pair are counted once per call, and the top
-    degree's sets are counted without listing them."""
+    BudgetExceededError(message) once it passes cap.
+
+    One forward pass per degree, over the positions in index order.  A
+    state is one int: its low bits are the chosen set cut down to the
+    positions a later parents test reads (the base's later positions
+    among them, so a position already in the base takes only the include
+    branch), and above bit len(layer) sits the shadow into the next layer
+    built so far.  Each state carries its multiplicity, the number of
+    chain prefixes that reach it.  Every prefix extends to at least the
+    chain that adds nothing more, so total, the sum of the
+    multiplicities, only grows towards the count plus the empty chain,
+    and it bounds the number of states.
+    """
     top = len(layers) - 1
-    memo = {}
-    # chains found so far in walk order, the empty one included: a memo
-    # hit adds its whole count at once, so the cap is checked on each add
-    total = 0
-
-    def tally(found):
-        nonlocal total
-        total += found
-        if total > cap + 1:
-            raise BudgetExceededError(message, partial_count=cap)
-
-    def chains_from(di, base):
-        # the chains from degree di + 1 upward whose set there contains base
-        key = (di, base)
-        found = memo.get(key)
-        if found is not None:
-            tally(found)
-            return found
-        layer = layers[di]
-        if di == top:
-            found = _count_filters(layer, base, cap + 1 - total)
-            tally(found)
-        else:
-            found = 0
-            above = layers[di + 1]
-            for mask in _filters(layer, base, None):
-                found += chains_from(di + 1, _shadow(above, mask))
-        memo[key] = found
-        return found
-
-    return chains_from(0, 0) - 1
+    bases = {0: 1}
+    total = 1
+    for di, layer in enumerate(layers):
+        size = len(layer.mons)
+        up = layers[di + 1].up if di < top else [0] * size
+        need = layer.need
+        states = bases
+        for t, p in enumerate(layer.parents):
+            bit = 1 << t
+            lift = bit | up[t] << size
+            # drop the positions up to t that no later parents test reads
+            keep = ~((bit << 1) - 1 & ~need[t + 1])
+            nxt = {}
+            added = 0
+            for cur, m in states.items():
+                if not cur & bit:
+                    s = cur & keep
+                    nxt[s] = nxt.get(s, 0) + m
+                    if p & ~cur:
+                        continue
+                    added += m
+                s = (cur | lift) & keep
+                nxt[s] = nxt.get(s, 0) + m
+            states = nxt
+            total += added
+            if total > cap + 1:
+                raise BudgetExceededError(message, partial_count=cap)
+        bases = {}
+        for cur, m in states.items():
+            s = cur >> size
+            bases[s] = bases.get(s, 0) + m
+    return total - 1
 
 
 @dataclass(frozen=True)

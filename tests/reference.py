@@ -4,8 +4,10 @@ Each one is written against the library's public surface, never its
 internals, so that a test comparing it with the library checks two
 routes: upper Koszul complexes with their reduced homology over the
 rationals (against the table oracle), the ideal of a graded component,
-the restriction to a leading subring, and the k-th biggest monomial of
-a max-index class by unranking (against enumeration).
+the restriction to a leading subring, the k-th biggest monomial of a
+max-index class by unranking (against enumeration), and the conjugation
+that sends the strongly stable ideals of one bound onto those of the
+transposed bound (against counting).
 """
 
 from dataclasses import dataclass
@@ -144,3 +146,36 @@ def kth_biggest_with_max_index(ell: int, k: int, d: int, n: int):
         e = s
     w[ell - 1] = e + 1
     return tuple(w)
+
+
+def conjugate_generators(I: MonomialIdeal, d: int) -> frozenset:
+    """The minimal generators of the conjugate of I, an ideal in d
+    variables, where I has its generators in degrees <= d.
+
+    A monomial u of degree 1..d is the partition with one part n + 1 - j
+    per factor x_j, padded to d parts; conjugating it gives at most n
+    parts, each at most d, whose nonzero parts are the nonzero prefix
+    sums u_1 + ... + u_j, and a part q is the factor x_{d+1-q}.  Both
+    multiplying by a variable and an exchange x_j -> x_{j-1} grow the
+    partition, and conjugation keeps containment, so the monomials of I
+    of degree <= d go to those of a strongly stable ideal of degree <= n.
+    """
+
+    def conjugate(u):
+        w = [0] * d
+        total = 0
+        for e in u:
+            total += e
+            if total:
+                w[d - total] += 1
+        return tuple(w)
+
+    level, image = set(), set()
+    for e in range(1, d + 1):
+        level = {u[:i] + (u[i] + 1,) + u[i + 1:] for u in level for i in range(I.n)}
+        level |= {g for g in I.gens if sum(g) == e}
+        image |= {conjugate(u) for u in level}
+    return frozenset(
+        w for w in image
+        if not any(w[i] and w[:i] + (w[i] - 1,) + w[i + 1:] in image for i in range(d))
+    )

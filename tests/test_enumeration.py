@@ -6,14 +6,14 @@ from itertools import combinations, product
 import pytest
 
 import stablebetti as sb
+from reference import conjugate_generators
 from stablebetti import enumeration
 from stablebetti.betti import corners_from_counts
 from stablebetti.enumeration import (
     _chains,
-    _count_filters,
+    _count,
     _filters,
     _generators,
-    _shadow,
     _walk_layers,
     count_strongly_stable,
     enumerate_strongly_stable,
@@ -107,7 +107,8 @@ def test_small_budget_stops_a_deep_walk_at_once():
         list(enumerate_strongly_stable(4, 12, budget=1))
     assert err.value.partial_count == 1
     assert time.perf_counter() - start < 2.0
-    # counting adds a memoised count at once, and still stops at the budget
+    # counting checks the budget after each position of each degree's
+    # pass, so it stops there too
     for budget in (1, 1000):
         start = time.perf_counter()
         with pytest.raises(sb.BudgetExceededError) as err:
@@ -136,8 +137,8 @@ def test_walks_reach_the_degree_cap():
 
 
 def test_small_budget_stops_a_wide_top_layer_at_once():
-    # the top degree is counted without listing its sets, and the count
-    # stops as soon as it passes the room the budget leaves
+    # no degree lists its sets, and the count stops as soon as the chain
+    # prefixes it carries pass the budget
     for n, dmax, budget in ((6, 5, 1000), (7, 4, 10**5)):
         start = time.perf_counter()
         with pytest.raises(sb.BudgetExceededError) as err:
@@ -225,41 +226,53 @@ def test_count_matches_the_chain_walk_under_every_budget():
 
 
 def test_large_counts_pinned():
-    budget = 2**31
+    budget = 2**32
     for d in range(1, 31):
         assert count_strongly_stable(1, d, budget=budget) == d
         assert count_strongly_stable(2, d, budget=budget) == 2 ** (d + 1) - 2
     for n, dmax, total in (
         (4, 5, 683462), (5, 4, 683462), (3, 7, 252584), (3, 8, 3803646),
-        (6, 3, 21758), (3, 9, 74327143),
+        (6, 3, 21758), (3, 9, 74327143), (4, 6, 161960218), (5, 5, 2725285449),
     ):
         assert count_strongly_stable(n, dmax, budget=budget) == total
 
 
 def test_count_is_symmetric_in_n_and_dmax():
-    # observed, not proved: the count at (n, d) equals the count at (d, n)
-    # on every pair below, which sets wide top layers against chain-shaped
-    # ones; (4, 6) = (6, 4) = 161,960,218 takes seconds and is left out
+    # the count at (n, d) equals the count at (d, n) on every pair below,
+    # which sets wide top layers against chain-shaped ones; conjugation
+    # (test_conjugation_transposes_the_bound) is the bijection behind it
     pairs = [(n, d) for n in range(1, 25) for d in range(n + 1, 25) if n * d <= 24]
     for n, d in pairs:
-        if (n, d) != (4, 6):
-            assert count_strongly_stable(n, d, budget=10**9) == count_strongly_stable(
-                d, n, budget=10**9
-            ), (n, d)
+        assert count_strongly_stable(n, d, budget=10**9) == count_strongly_stable(
+            d, n, budget=10**9
+        ), (n, d)
 
 
-def test_count_filters_matches_the_listing():
-    # per layer, against _filters over every base the count meets: 0 and
-    # the shadow of each closed set one degree down
+def test_conjugation_transposes_the_bound():
+    # a second route to the counts: conjugation sends the ideals of (n, d)
+    # one to one onto those of (d, n)
+    listed = {
+        bound: list(enumerate_strongly_stable(*bound, budget=10**5))
+        for bound in ((2, 3), (3, 2), (3, 3), (2, 5), (5, 2), (3, 4), (4, 3), (4, 4))
+    }
+    for n, d in ((2, 3), (3, 2), (3, 3), (2, 5), (3, 4), (4, 3), (4, 4)):
+        image = {conjugate_generators(I, d) for I in listed[(n, d)]}
+        assert len(image) == len(listed[(n, d)]), (n, d)
+        assert image == {frozenset(I.gens) for I in listed[(d, n)]}, (n, d)
+
+
+def test_count_matches_the_chain_listing():
+    # the forward pass against the nonempty chains the walk lists, on
+    # bounds with wide top layers (n = 5) and a deep one (2, 10); one
+    # below the listed number it stops with the budget error
+    message = "over the cap"
     for n, d in [(n, d) for n in range(1, 6) for d in range(1, 5)] + [(2, 10)]:
         layers = _walk_layers(n, d)
-        bases = {0}
-        if d > 1:
-            bases |= {_shadow(layers[-1], mask) for mask in _filters(layers[-2], 0, None)}
-        for base in bases:
-            listed = sum(1 for _ in _filters(layers[-1], base, None))
-            assert _count_filters(layers[-1], base, math.inf) == listed, (n, d, base)
-            assert _count_filters(layers[-1], base, listed - 1) > listed - 1, (n, d, base)
+        listed = sum(1 for masks in _chains(layers, [None] * d) if any(masks))
+        assert _count(layers, listed, message) == listed, (n, d)
+        with pytest.raises(sb.BudgetExceededError) as err:
+            _count(layers, listed - 1, message)
+        assert (str(err.value), err.value.partial_count) == (message, listed - 1), (n, d)
 
 
 def test_search_matrix_obstructions():

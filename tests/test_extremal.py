@@ -152,6 +152,31 @@ def test_soundness_random_profiles():
         built += 1
 
 
+def test_corners_of_non_stable_ideals_pass_the_decision():
+    # gin_revlex(I) has the extremal Betti numbers of I, in position and
+    # value (Bayer-Charalambous-Popescu), and is strongly stable in
+    # characteristic 0, so the corners of any monomial ideal's table form
+    # a profile check_profile accepts; only a principal ideal has its
+    # corner in column 0, which is no profile
+    rng = random.Random(20261019)
+    checked = 0
+    while checked < 200:
+        n = rng.randint(3, 4)
+        gens = {tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(rng.randint(1, 7))}
+        gens.discard((0,) * n)
+        if not gens:
+            continue
+        ideal = sb.minimalize(n, gens)
+        if sb.is_stable(ideal):
+            continue
+        corners = sb.extremal_corners(sb.oracle_betti(ideal))
+        if corners[0][0] == 0:
+            assert len(ideal.gens) == 1, ideal
+            continue
+        assert check_profile(ExtremalProfile(n, tuple(corners))).ok, (ideal, corners)
+        checked += 1
+
+
 def nested_lex_by_ideal_sum(prof):
     """Reference: the witness as a fold of ideal sums of the subring
     lexsegments, each sum re-minimalized."""
