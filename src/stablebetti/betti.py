@@ -41,13 +41,6 @@ class BettiTable:
         """Largest d = j - i with a nonzero entry."""
         return max((j - i for (i, j) in self.entries), default=None)
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, BettiTable)
-            and self.n == other.n
-            and self.entries == other.entries
-        )
-
     def __hash__(self):
         return hash((self.n, frozenset(self.entries.items())))
 
@@ -55,8 +48,6 @@ class BettiTable:
 def ek_betti(I: MonomialIdeal) -> BettiTable:
     """Graded Betti numbers of a stable ideal via the Eliahou-Kervaire
     formula: beta_{i,i+d} = sum_k binom(k-1, i) * m_{k,d}."""
-    if I.is_zero:
-        return BettiTable(I.n, {})
     if not is_stable(I):
         raise NotStableError(
             "the closed formula needs a stable ideal; use oracle_betti for arbitrary input"

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from .betti import ek_betti, render, table_to_json
 from .constructions import (
@@ -77,7 +78,7 @@ def _cmd_macaulay(args):
     if args.what == "rep":
         rep = macaulay_rep(args.a, args.d)
         if args.json:
-            print(json.dumps({"a": rep.a, "d": rep.d, "ks": list(rep.ks)}))
+            print(json.dumps(asdict(rep)))
         else:
             terms = " + ".join(f"binom({k},{i})" for k, i in rep.terms())
             print(f"{rep.a} = {terms}")
@@ -118,7 +119,7 @@ def _cmd_matrix(args):
     I = parse_ideal_text(_read(args.ideal_file))
     M = generator_matrix(I)
     if args.json:
-        print(json.dumps({"n": M.n, "jmin": M.jmin, "rows": [list(r) for r in M.rows]}))
+        print(json.dumps(asdict(M)))
     else:
         print(format_matrix(M), end="")
     return 0
@@ -128,17 +129,7 @@ def _cmd_check_matrix(args):
     M = parse_matrix_text(_read(args.matrix_file))
     check = check_matrix_lexsegment(M) if args.lex else check_matrix_necessary(M)
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "ok": check.ok,
-                    "items": [
-                        {"j": it.j, "condition": it.condition, "ok": it.ok, "detail": it.detail}
-                        for it in check.items
-                    ],
-                }
-            )
-        )
+        print(json.dumps(asdict(check)))
     else:
         for it in check.items:
             print(f"{'ok  ' if it.ok else 'FAIL'} j={it.j} {it.condition}: {it.detail}")
@@ -262,11 +253,7 @@ def _cmd_search(args):
 def _cmd_verify_paper(args):
     results = run_fixtures(budget=args.budget)
     if args.json:
-        print(
-            json.dumps(
-                [{"name": r.name, "status": r.status, "detail": r.detail} for r in results]
-            )
-        )
+        print(json.dumps([asdict(r) for r in results]))
     else:
         for r in results:
             print(f"{r.status.upper():4} {r.name}: {r.detail}")
@@ -290,22 +277,20 @@ def build_parser():
         q.add_argument("--budget", type=_budget, default=default, help="resource budget; 0 allows nothing")
 
     p = sub.add_parser("macaulay", help="representations, shifts, O-sequence tests")
+    p.set_defaults(func=_cmd_macaulay)
     msub = p.add_subparsers(dest="what", required=True)
     q = msub.add_parser("rep")
     q.add_argument("a", type=int)
     q.add_argument("d", type=int)
     q.add_argument("--json", action="store_true")
-    q.set_defaults(func=_cmd_macaulay)
     q = msub.add_parser("shift")
     q.add_argument("a", type=int)
     q.add_argument("d", type=int)
     q.add_argument("j", type=int)
     q.add_argument("--json", action="store_true")
-    q.set_defaults(func=_cmd_macaulay)
     q = msub.add_parser("oseq")
     q.add_argument("vector")
     q.add_argument("--json", action="store_true")
-    q.set_defaults(func=_cmd_macaulay)
 
     p = sub.add_parser("betti", help="Betti table of an ideal file")
     p.add_argument("ideal_file")
@@ -331,25 +316,22 @@ def build_parser():
     p.set_defaults(func=_cmd_realize_matrix)
 
     p = sub.add_parser("construct", help="build one of the named ideals")
+    p.set_defaults(func=_cmd_construct)
     csub = p.add_subparsers(dest="construction", required=True)
     q = csub.add_parser("piecewise-lex")
     q.add_argument("--d", type=int, required=True)
     q.add_argument("--counts", required=True)
-    q.set_defaults(func=_cmd_construct)
     q = csub.add_parser("murai")
     q.add_argument("--counts", required=True)
-    q.set_defaults(func=_cmd_construct)
     q = csub.add_parser("u-ideal")
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--ell", type=int, required=True)
     q.add_argument("--k", type=int, required=True)
     q.add_argument("--d", type=int, required=True)
-    q.set_defaults(func=_cmd_construct)
     q = csub.add_parser("lexsegment")
     q.add_argument("--n", type=int, required=True)
     q.add_argument("--d", type=int, required=True)
     q.add_argument("--mu", type=int, required=True)
-    q.set_defaults(func=_cmd_construct)
 
     p = sub.add_parser("extremal", help="decide or realize an extremal profile")
     esub = p.add_subparsers(dest="what", required=True)
@@ -374,14 +356,13 @@ def build_parser():
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("search", help="search for an ideal matching a matrix or profile")
+    p.set_defaults(func=_cmd_search)
     ssub = p.add_subparsers(dest="target", required=True)
     q = ssub.add_parser("matrix")
     q.add_argument("matrix_file")
-    q.set_defaults(func=_cmd_search)
     q = ssub.add_parser("profile")
     q.add_argument("--profile", required=True)
     q.add_argument("--n", type=int, required=True)
-    q.set_defaults(func=_cmd_search)
 
     p = sub.add_parser("verify-paper", help="replay the built-in reference fixtures")
     p.add_argument("--json", action="store_true")

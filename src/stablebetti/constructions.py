@@ -19,6 +19,8 @@ from .ideals import (
 from .macaulay import binom, is_o_sequence, macaulay_rep
 from .monomials import (
     class_size,
+    deglex_key,
+    divides,
     enumerate_degree,
     iter_degree,
     max_index,
@@ -311,10 +313,10 @@ class GreedyResult:
 
 def realize_matrix_greedy(M: GeneratorMatrix) -> GreedyResult:
     """Try to build a strongly stable ideal with matrix of generators M,
-    degree by degree from the zero ideal: at each degree add the biggest
-    still-missing monomials of every max-index class, count prescribed by
-    the new rows (at the first degree this is the piecewise lexsegment of
-    the first row).
+    degree by degree: at each degree add the biggest still-missing
+    monomials of every max-index class, count prescribed by the new rows
+    (at the first degree this is the piecewise lexsegment of the first
+    row).
 
     Success guarantees the matrix is realized.  Failure reports the first
     degree and class where strong stability breaks or the class runs out
@@ -329,7 +331,11 @@ def realize_matrix_greedy(M: GeneratorMatrix) -> GreedyResult:
     if not canon.rows:
         raise DomainError("zero matrix: no nonzero ideal to realize")
     n = canon.n
-    ideal = MonomialIdeal.zero(n)
+    gens = []
+
+    def inside(u):
+        return any(divides(g, u) for g in gens)
+
     for j in range(canon.jmin, canon.jmax + 1):
         new_gens = []
         # nonnegative: check_matrix_necessary passed the cumulative inequality
@@ -338,7 +344,7 @@ def realize_matrix_greedy(M: GeneratorMatrix) -> GreedyResult:
                 continue
             picked = []
             for u in monomials_with_max_index(i, j, n):
-                if not ideal.contains(u):
+                if not inside(u):
                     picked.append(u)
                     if len(picked) == need:
                         break
@@ -349,17 +355,15 @@ def realize_matrix_greedy(M: GeneratorMatrix) -> GreedyResult:
                     f"found {len(picked)}",
                 )
             new_gens.extend(picked)
-        if not new_gens:
-            continue
         # outside the ideal and above its degrees, so still minimal
-        ideal = MonomialIdeal(n, ideal.gens + tuple(new_gens))
+        gens.extend(new_gens)
         # lower degrees passed at their own step and the ideal only grew,
-        # so only this degree's generators, the leading block, need the test
-        witness = unstable_generator(ideal.gens[:len(new_gens)], ideal.contains)
+        # so only this degree's generators need the test
+        witness = unstable_generator(sorted(new_gens, key=deglex_key, reverse=True), inside)
         if witness is not None:
             bad = max_index(witness)
             return GreedyResult(
                 None, j, bad,
                 f"greedy extension breaks strong stability at degree {j} (class {bad})",
             )
-    return GreedyResult(ideal)
+    return GreedyResult(MonomialIdeal(n, gens))

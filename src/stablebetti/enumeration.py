@@ -42,7 +42,7 @@ from dataclasses import dataclass
 from .errors import DEFAULT_BUDGET, BudgetExceededError, DomainError
 from .ideals import GeneratorMatrix, MonomialIdeal, new_generator_row
 from .macaulay import binom
-from .monomials import deglex_key, enumerate_degree, iter_degree, max_index, swap_variable
+from .monomials import class_size, deglex_key, enumerate_degree, iter_degree, max_index, swap_variable
 
 DEFAULT_ENUM_N = 4
 DEFAULT_ENUM_DMAX = 5
@@ -336,7 +336,12 @@ def _first_chain(n, specs, miss) -> SearchOutcome:
     """The walk's first chain under specs, the per-class pins of degrees
     1..len(specs), as a hit; or a none-report with note miss.  Every
     search pins some degree to a positive count, so the chain is never
-    the empty one."""
+    the empty one.  A pin outside 0..class_size misses before any layer
+    is built: no walk could meet it, though one could run long to find
+    that out."""
+    if any(tgt is not None and not 0 <= tgt <= class_size(c, d)
+           for d, spec in enumerate(specs, 1) for c, tgt in enumerate(spec, 1)):
+        return SearchOutcome(None, miss)
     layers = _walk_layers(n, len(specs))
     masks = next(_chains(layers, specs), None)
     if masks is None:

@@ -17,6 +17,7 @@ from .constructions import subring_lexsegment_ideal
 from .errors import DomainError, InfeasibleProfileError, StableBettiError
 from .ideals import MonomialIdeal, class_degree_counts, counts_to_matrix, is_stable
 from .macaulay import binom, iterated_cumsum_last, macaulay_shift
+from .monomials import divides
 from .oracle import oracle_betti
 
 
@@ -181,7 +182,7 @@ def nested_lex_ideal(profile: ExtremalProfile) -> MonomialIdeal:
     t = profile.triples
     k = profile.k
     i_k, j_k, b_k = t[-1]
-    ideal = subring_lexsegment_ideal(i_k + 1, b_k, j_k, profile.n)
+    gens = list(subring_lexsegment_ideal(i_k + 1, b_k, j_k, profile.n).gens)
     forced = forced_counts(profile)
     for p in range(k - 1, 0, -1):
         i_p, j_p, b_p = t[p - 1]
@@ -189,7 +190,7 @@ def nested_lex_ideal(profile: ExtremalProfile) -> MonomialIdeal:
         # present in this degree, read off the generator counts of the
         # witness (strongly stable at every step) by the Eliahou-Kervaire
         # recursion
-        present = counts_to_matrix(class_degree_counts(ideal.gens), profile.n).row(j_p)[i_p]
+        present = counts_to_matrix(class_degree_counts(gens), profile.n).row(j_p)[i_p]
         if present != forced[p]:
             raise StableBettiError(
                 f"the witness breaks the forced count at corner p={p}: "
@@ -198,8 +199,8 @@ def nested_lex_ideal(profile: ExtremalProfile) -> MonomialIdeal:
         # the segment lies in degree j_p, above every generator so far, so
         # its elements outside the ideal are exactly the new minimal ones
         segment = subring_lexsegment_ideal(i_p + 1, present + b_p, j_p, profile.n).gens
-        ideal = MonomialIdeal(profile.n, ideal.gens + tuple(g for g in segment if not ideal.contains(g)))
-    return ideal
+        gens += [u for u in segment if not any(divides(g, u) for g in gens)]
+    return MonomialIdeal(profile.n, gens)
 
 
 def verify_profile(I: MonomialIdeal, profile: ExtremalProfile) -> bool:

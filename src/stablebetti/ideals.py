@@ -27,18 +27,17 @@ from .macaulay import binom, cumsum
 class MonomialIdeal:
     """A monomial ideal given by its minimal generating set.
 
-    Generators are stored deglex descending.  The zero ideal (empty
-    generating set) is built only by MonomialIdeal.zero(n), where the
-    greedy realizer starts; every other constructor rejects it.
+    Generators are stored deglex descending, and there is at least one:
+    the zero ideal is not a MonomialIdeal.
     """
 
     __slots__ = ("n", "gens")
 
-    def __init__(self, n, gens, *, _allow_zero=False):
+    def __init__(self, n, gens):
         gens = tuple(sorted({tuple(g) for g in gens}, key=deglex_key, reverse=True))
         if n < 1:
             raise DomainError("need at least one variable")
-        if not gens and not _allow_zero:
+        if not gens:
             raise DomainError("empty generating set: the zero ideal is not constructible here")
         for g in gens:
             if len(g) != n:
@@ -55,24 +54,16 @@ class MonomialIdeal:
         self.n = n
         self.gens = gens
 
-    @classmethod
-    def zero(cls, n):
-        return cls(n, (), _allow_zero=True)
-
-    @property
-    def is_zero(self):
-        return not self.gens
-
     def contains(self, u):
         if len(u) != self.n:
             raise DomainError("monomial lives in a different ring")
         return any(divides(g, u) for g in self.gens)
 
     def min_gen_degree(self):
-        return min(sum(g) for g in self.gens) if self.gens else None
+        return min(sum(g) for g in self.gens)
 
     def max_gen_degree(self):
-        return max(sum(g) for g in self.gens) if self.gens else None
+        return max(sum(g) for g in self.gens)
 
     def __eq__(self, other):
         return (
@@ -111,7 +102,7 @@ def times_maximal(I: MonomialIdeal, q: int) -> MonomialIdeal:
     """Multiply by the q-th power of the maximal ideal (x_1, ..., x_n)."""
     if q < 0:
         raise DomainError("q must be nonnegative")
-    if q == 0 or I.is_zero:
+    if q == 0:
         return I
     shifts = enumerate_degree(I.n, q)
     return minimalize(I.n, [mul(g, s) for g in I.gens for s in shifts])
@@ -156,8 +147,6 @@ def is_strongly_stable(I: MonomialIdeal) -> bool:
 def is_lexsegment(I: MonomialIdeal) -> bool:
     """Every graded component is a top segment in deglex, checked through
     the maximal generator degree plus one stabilization degree."""
-    if I.is_zero:
-        return True
     for d in range(0, I.max_gen_degree() + 2):
         comp = graded_component(I, d)
         if comp != enumerate_degree(I.n, d)[: len(comp)]:
@@ -169,8 +158,6 @@ def is_piecewise_lex_up_to(I: MonomialIdeal, ell: int) -> bool:
     """For an ideal generated in one degree d: within every max-index
     class i <= ell, the generators are the biggest count-many degree-d
     monomials of that class."""
-    if I.is_zero:
-        raise DomainError("zero ideal")
     if not 1 <= ell <= I.n:
         raise DomainError("ell out of range")
     degs = {sum(g) for g in I.gens}

@@ -117,8 +117,6 @@ def oracle_betti(I: MonomialIdeal, budget: int = DEFAULT_BUDGET) -> BettiTable:
     Scans the multidegrees dividing the lcm of the generators; raises
     BudgetExceededError when there are more than `budget` of them.
     """
-    if I.is_zero:
-        return BettiTable(I.n, {})
     lcm_exp = [0] * I.n
     for g in I.gens:
         for t, e in enumerate(g):

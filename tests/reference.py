@@ -106,19 +106,20 @@ def reduced_homology_ranks(C: SimplicialComplexSmall) -> dict:
     }
 
 
-def component_ideal(I: MonomialIdeal, d: int) -> MonomialIdeal:
-    """Ideal generated by the degree-d part of I (possibly zero)."""
+def component_ideal(I: MonomialIdeal, d: int):
+    """Ideal generated by the degree-d part of I; None when that part is
+    empty."""
     comp = graded_component(I, d)
-    return MonomialIdeal(I.n, comp) if comp else MonomialIdeal.zero(I.n)
+    return MonomialIdeal(I.n, comp) if comp else None
 
 
-def restrict_to_subring(I: MonomialIdeal, ell: int) -> MonomialIdeal:
+def restrict_to_subring(I: MonomialIdeal, ell: int):
     """I intersected with the subring on the first ell variables, as an
-    ideal there.  May be zero."""
+    ideal there; None when the intersection is zero."""
     if not 1 <= ell <= I.n:
         raise DomainError("subring index out of range")
     gens = [g[:ell] for g in I.gens if max_index(g) <= ell]
-    return MonomialIdeal(ell, gens) if gens else MonomialIdeal.zero(ell)
+    return MonomialIdeal(ell, gens) if gens else None
 
 
 def kth_biggest_with_max_index(ell: int, k: int, d: int, n: int):

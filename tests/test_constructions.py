@@ -360,6 +360,28 @@ def test_realize_greedy_tests_each_generator_once(monkeypatch):
     assert realized > 20
 
 
+def test_realize_greedy_builds_one_ideal(monkeypatch):
+    # the realizer grows a plain generator list and builds the ideal once,
+    # at the end; a failed call builds none
+    built = []
+    real = MonomialIdeal.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args[0])
+        real(self, *args, **kwargs)
+
+    rng = random.Random(5)
+    matrices = [sb.generator_matrix(sb.random_strongly_stable(5, 5, rng)) for _ in range(40)]
+    monkeypatch.setattr(MonomialIdeal, "__init__", counting)
+    realized = 0
+    for M in matrices:
+        built.clear()
+        result = realize_matrix_greedy(M)
+        assert len(built) == result.ok
+        realized += result.ok and len(M.rows) > 1
+    assert realized > 10
+
+
 def test_realize_greedy_single_row_is_piecewise():
     M = GeneratorMatrix(3, 3, ((1, 3, 4),))
     result = realize_matrix_greedy(M)

@@ -128,6 +128,17 @@ def test_a_search_miss_skips_dead_shadows():
     assert out.found is None and out.note == PROFILE_MISS
 
 
+def test_a_pin_above_its_class_size_misses_at_once():
+    # degree 12 has 78 monomials of class 3, so neither corner value fits;
+    # the walk alone takes seconds to learn that
+    for b in (100, 79):
+        start = time.perf_counter()
+        out = search_extremal_profile(sb.ExtremalProfile(3, ((2, 12, b),)))
+        assert time.perf_counter() - start < 0.5, b
+        assert out.found is None and out.note == PROFILE_MISS
+    assert search_extremal_profile(sb.ExtremalProfile(3, ((2, 12, 78),))).ok
+
+
 def test_walks_reach_the_degree_cap():
     # the walk recurses once per degree, up to the cap
     got = [I.gens for I in enumerate_strongly_stable(1, DEGREE_CAP, budget=DEGREE_CAP)]
@@ -431,7 +442,7 @@ def test_random_generator_properties():
     rng = random.Random(42)
     ideals = [random_strongly_stable(4, 5, rng) for _ in range(50)]
     for I in ideals:
-        assert not I.is_zero
+        assert I.gens
         assert I.n == 4
         assert I.max_gen_degree() <= 5
         assert sb.is_strongly_stable(I)
