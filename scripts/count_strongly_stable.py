@@ -3,8 +3,10 @@
 bound.  On a 2-vCPU machine (Python 3.11) the n=4, dmax=5 cell (683,462
 ideals, --max-dmax 5) takes about 0.01 s.  Cells past n=4, dmax=5 need
 --budget; with it, (4, 6) and (6, 4) both hold 161,960,218 ideals and
-take about 0.06 s and 0.14 s, and (5, 5) holds 2,725,285,449 and takes
-about 0.5 s."""
+take about 0.05 s each, and (5, 5) holds 2,725,285,449 and takes about
+0.5 s.  Each cell is counted in the orientation with no more variables
+than degrees, whose top layer is the smaller: conjugating partitions
+makes the count at (n, dmax) equal the one at (dmax, n)."""
 
 import argparse
 import time

@@ -118,6 +118,12 @@ def subring_lexsegment_ideal(ell: int, k: int, d: int, n: int) -> MonomialIdeal:
     """Smallest strongly stable ideal containing the k biggest degree-d
     monomials with max index ell: the extension of the lexsegment of the
     first ell variables ending at the k-th such monomial."""
+    return MonomialIdeal(n, subring_lexsegment(ell, k, d, n))
+
+
+def subring_lexsegment(ell: int, k: int, d: int, n: int) -> list:
+    """The minimal generators of subring_lexsegment_ideal(ell, k, d, n),
+    deglex descending as the ideal stores them, without building it."""
     if not 1 <= ell <= n:
         raise DomainError("ell out of range")
     bound = class_size(ell, d)
@@ -133,7 +139,7 @@ def subring_lexsegment_ideal(ell: int, k: int, d: int, n: int) -> MonomialIdeal:
             k -= 1
             if not k:
                 break
-    return MonomialIdeal(n, gens)
+    return gens
 
 
 def _lexsegment_bound(n: int, d: int, mu: int) -> int:

@@ -24,7 +24,11 @@ degree, carrying each state with the number of chain prefixes that reach
 it (the transfer-matrix method).  A state keeps only what a later
 exchange test reads and the shadow built so far (frontier-based
 counting, as in decision-diagram construction), and the states that end
-a degree fold to their shadows, which start the next.
+a degree fold to their shadows, which start the next.  Such ideals
+match the up-sets of the partitions with at most dmax parts, each at
+most n, so conjugation makes the count at (n, dmax) equal the one at
+(dmax, n), and counting runs with no more variables than degrees, the
+orientation whose top layer, binom(n + dmax - 1, dmax), is the smaller.
 
 Searches prune with per-degree, per-class counts of new generators (the
 elements of B_d outside the shadow).  A generator-matrix target pins
@@ -42,7 +46,9 @@ from dataclasses import dataclass
 from .errors import DEFAULT_BUDGET, BudgetExceededError, DomainError
 from .ideals import GeneratorMatrix, MonomialIdeal, new_generator_row
 from .macaulay import binom
-from .monomials import class_size, deglex_key, enumerate_degree, iter_degree, max_index, swap_variable
+from .monomials import (
+    DEGREE_CAP, class_size, deglex_key, enumerate_degree, iter_degree, max_index, swap_variable,
+)
 
 DEFAULT_ENUM_N = 4
 DEFAULT_ENUM_DMAX = 5
@@ -214,9 +220,10 @@ def _canonical_key(gens):
     return (max(sum(g) for g in gens), tuple(deglex_key(g) for g in gens))
 
 
-def _walk_setup(n, dmax, budget):
-    """The layers of the unconstrained walk behind enumeration and
-    counting, its ideal cap and the message of the error past it."""
+def _walk_caps(n, dmax, budget):
+    """The ideal cap of the unconstrained walk behind enumeration and
+    counting, and the message of the error past it, judged on the bound
+    as given."""
     if n < 1 or dmax < 1:
         raise DomainError("need n >= 1 and dmax >= 1")
     if budget is None and (n > DEFAULT_ENUM_N or dmax > DEFAULT_ENUM_DMAX):
@@ -232,6 +239,13 @@ def _walk_setup(n, dmax, budget):
     # below their number fails here as _count would fail on it later
     if binom(n + dmax, dmax) - 1 > cap:
         raise BudgetExceededError(message, partial_count=max(cap, 0))
+    return cap, message
+
+
+def _walk_setup(n, dmax, budget):
+    """The layers of the unconstrained walk over the bound as given, its
+    ideal cap and the message of the error past it."""
+    cap, message = _walk_caps(n, dmax, budget)
     return _walk_layers(n, dmax), cap, message
 
 
@@ -258,8 +272,13 @@ def enumerate_strongly_stable(n, dmax, budget=None):
 def count_strongly_stable(n, dmax, budget=None) -> int:
     """Number of ideals enumerate_strongly_stable would yield, under the
     same caps and errors, without materializing them or visiting each
-    chain."""
-    return _count(*_walk_setup(n, dmax, budget))
+    chain.  The caps read the bound as given; the walk then runs on
+    its conjugate when that has fewer variables, unless the conjugate
+    is past the degree cap."""
+    cap, message = _walk_caps(n, dmax, budget)
+    if max(n, dmax) <= DEGREE_CAP:
+        n, dmax = min(n, dmax), max(n, dmax)
+    return _count(_walk_layers(n, dmax), cap, message)
 
 
 def _count(layers, cap, message) -> int:

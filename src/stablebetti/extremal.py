@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .betti import corners_from_counts, extremal_corners
-from .constructions import subring_lexsegment_ideal
+from .constructions import subring_lexsegment
 from .errors import DomainError, InfeasibleProfileError, StableBettiError
 from .ideals import MonomialIdeal, class_degree_counts, counts_to_matrix, is_stable
 from .macaulay import binom, iterated_cumsum_last, macaulay_shift
@@ -182,7 +182,7 @@ def nested_lex_ideal(profile: ExtremalProfile) -> MonomialIdeal:
     t = profile.triples
     k = profile.k
     i_k, j_k, b_k = t[-1]
-    gens = list(subring_lexsegment_ideal(i_k + 1, b_k, j_k, profile.n).gens)
+    gens = subring_lexsegment(i_k + 1, b_k, j_k, profile.n)
     forced = forced_counts(profile)
     for p in range(k - 1, 0, -1):
         i_p, j_p, b_p = t[p - 1]
@@ -198,7 +198,7 @@ def nested_lex_ideal(profile: ExtremalProfile) -> MonomialIdeal:
             )
         # the segment lies in degree j_p, above every generator so far, so
         # its elements outside the ideal are exactly the new minimal ones
-        segment = subring_lexsegment_ideal(i_p + 1, present + b_p, j_p, profile.n).gens
+        segment = subring_lexsegment(i_p + 1, present + b_p, j_p, profile.n)
         gens += [u for u in segment if not any(divides(g, u) for g in gens)]
     return MonomialIdeal(profile.n, gens)
 

@@ -17,6 +17,7 @@ from stablebetti.constructions import (
     piecewise_lexsegment,
     realize_matrix_greedy,
     strongly_stable_with_counts,
+    subring_lexsegment,
     subring_lexsegment_ideal,
 )
 from stablebetti.ideals import GeneratorMatrix, MonomialIdeal
@@ -113,6 +114,8 @@ def test_subring_lexsegment_matches_kth_biggest_route():
                     u = kth_biggest_with_max_index(ell, k, d, n)
                     expected = MonomialIdeal(n, segment[: segment.index(u) + 1])
                     assert subring_lexsegment_ideal(ell, k, d, n) == expected
+                    # the list is the ideal's generators, in its order
+                    assert tuple(subring_lexsegment(ell, k, d, n)) == expected.gens
 
 
 def test_subring_lexsegment_is_smallest_strongly_stable(corpus_n3):

@@ -249,14 +249,45 @@ def test_large_counts_pinned():
 
 
 def test_count_is_symmetric_in_n_and_dmax():
-    # the count at (n, d) equals the count at (d, n) on every pair below,
-    # which sets wide top layers against chain-shaped ones; conjugation
-    # (test_conjugation_transposes_the_bound) is the bijection behind it
+    # _count on the layers of (n, d) and on those of (d, n) agree on every
+    # pair below, which sets wide top layers against chain-shaped ones;
+    # conjugation (test_conjugation_transposes_the_bound) is the bijection
+    # behind it.  count_strongly_stable walks only one of the two
     pairs = [(n, d) for n in range(1, 25) for d in range(n + 1, 25) if n * d <= 24]
     for n, d in pairs:
-        assert count_strongly_stable(n, d, budget=10**9) == count_strongly_stable(
-            d, n, budget=10**9
+        assert _count(_walk_layers(n, d), 10**9, "over") == _count(
+            _walk_layers(d, n), 10**9, "over"
         ), (n, d)
+
+
+def test_count_keeps_the_caps_of_the_bound_as_given():
+    # a bound past the degree cap is counted as given: transposed, each
+    # of these would fail on degree 65
+    assert count_strongly_stable(65, 1, budget=65) == 65
+    assert count_strongly_stable(65, 2, budget=2**70) == 2**66 - 2
+    with pytest.raises(sb.DomainError, match="degree 65 exceeds"):
+        count_strongly_stable(2, 65, budget=2**70)
+    # the default caps read n and dmax as given
+    with pytest.raises(sb.BudgetExceededError) as err:
+        count_strongly_stable(5, 3)
+    assert err.value.partial_count == 0
+    assert str(err.value).startswith("default budget covers n <= 4, dmax <= 5")
+    assert count_strongly_stable(3, 5) == 2429
+
+
+def test_count_walks_no_more_variables_than_degrees(monkeypatch):
+    # the top layer of (3, 5) has 21 monomials, that of (5, 3) 35
+    walked = []
+    walk_layers = enumeration._walk_layers
+
+    def recorded(n, d):
+        walked.append((n, d))
+        return walk_layers(n, d)
+
+    monkeypatch.setattr(enumeration, "_walk_layers", recorded)
+    assert count_strongly_stable(5, 3, budget=10**4) == 2429
+    assert count_strongly_stable(2, 10, budget=10**4) == 2046
+    assert walked == [(3, 5), (2, 10)]
 
 
 def test_conjugation_transposes_the_bound():

@@ -202,6 +202,28 @@ def test_nested_lex_matches_ideal_sum_fold():
         built += 1
 
 
+def test_nested_lex_builds_one_ideal(monkeypatch):
+    # the segments stay generator lists, and the witness is the one ideal
+    built = []
+    real = MonomialIdeal.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(args[0])
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(MonomialIdeal, "__init__", counting)
+    rng = random.Random(20261019)
+    several = 0
+    while several < 10:
+        prof = random_profile(rng)
+        if not check_profile(prof).ok:
+            continue
+        built.clear()
+        nested_lex_ideal(prof)
+        assert len(built) == 1, prof
+        several += prof.k > 1
+
+
 def test_structure_is_nested_lexsegments():
     rng = random.Random(7)
     built = 0
