@@ -14,16 +14,13 @@ from .betti import (
     table_to_json,
 )
 from .constructions import (
-    Block,
     GreedyResult,
     MatrixCheck,
-    block_monomials,
     check_matrix_lexsegment,
     check_matrix_necessary,
     is_lexsegment_count_vector,
     lexsegment_count_vector,
     lexsegment_ideal,
-    lower_segment_blocks,
     piecewise_lexsegment,
     realize_matrix_greedy,
     strongly_stable_with_counts,
@@ -77,14 +74,12 @@ from .macaulay import (
     binom,
     cumsum,
     is_o_sequence,
-    is_o_sequence_from_zero,
     iterated_cumsum_last,
     macaulay_rep,
     macaulay_shift,
     min_shift_preimage,
 )
 from .monomials import (
-    deglex_compare,
     deglex_key,
     enumerate_degree,
     max_index,

@@ -149,12 +149,3 @@ def table_to_json(T: BettiTable) -> dict:
         "n": T.n,
         "entries": [[i, j, b] for (i, j), b in sorted(T.entries.items())],
     }
-
-
-def table_from_json(obj) -> BettiTable:
-    try:
-        n = int(obj["n"])
-        entries = {(int(i), int(j)): int(b) for i, j, b in obj["entries"]}
-    except (KeyError, TypeError, ValueError) as exc:
-        raise DomainError(f"bad Betti table object: {exc}")
-    return BettiTable(n, entries)

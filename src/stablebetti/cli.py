@@ -23,6 +23,8 @@ from .constructions import (
     subring_lexsegment_ideal,
 )
 from .enumeration import (
+    DEFAULT_ENUM_DMAX,
+    DEFAULT_ENUM_N,
     count_strongly_stable,
     enumerate_strongly_stable,
     search_extremal_profile,
@@ -170,10 +172,12 @@ def _cmd_construct(args):
 
 def _search_confirmation(profile):
     """Optional second opinion on an infeasible verdict: exhaustive search
-    within the certifying bounds, offered at desk scale only."""
+    within the certifying bounds, offered only within enumeration's
+    default bound, since the search walks the chains of (n, j_1)."""
     j1 = profile.triples[0][1]
-    if profile.n > 4 or j1 > 5:
-        return "search confirmation only offered for n <= 4 and corner degrees <= 5"
+    if profile.n > DEFAULT_ENUM_N or j1 > DEFAULT_ENUM_DMAX:
+        bound = f"n <= {DEFAULT_ENUM_N} and corner degrees <= {DEFAULT_ENUM_DMAX}"
+        return f"search confirmation only offered for {bound}"
     outcome = search_extremal_profile(profile)
     if outcome.found is None:
         return f"confirmed by exhaustive search: no strongly stable ideal within degree {j1}"

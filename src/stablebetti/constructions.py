@@ -21,7 +21,6 @@ from .monomials import (
     class_size,
     deglex_key,
     divides,
-    enumerate_degree,
     iter_degree,
     max_index,
     monomials_with_max_index,
@@ -158,51 +157,6 @@ def lexsegment_ideal(n: int, d: int, mu: int) -> MonomialIdeal:
     """Ideal generated by the mu biggest monomials of degree d."""
     _lexsegment_bound(n, d, mu)
     return MonomialIdeal(n, islice(iter_degree(n, d), mu))
-
-
-@dataclass(frozen=True)
-class Block:
-    """One block of the decomposition of the monomials strictly below a
-    fixed degree-d monomial: the set [x_start, ..., x_n]_r * prefix.
-    start may exceed n, in which case the block is empty."""
-
-    prefix: tuple
-    start: int
-    r: int
-
-
-def lower_segment_blocks(u) -> list:
-    """Partition of { v of the same degree : v < u } into blocks, one per
-    position of u = x_{j(1)} ... x_{j(d)} with j(1) <= ... <= j(d):
-    block i is [x_{j(i)+1}, ..., x_n]_{d-i+1} * x_{j(1)} ... x_{j(i-1)}."""
-    n = len(u)
-    d = sum(u)
-    if d == 0:
-        raise DomainError("the monomial 1 has no lower segment")
-    js = [t + 1 for t in range(n) for _ in range(u[t])]
-    blocks = []
-    for i in range(1, d + 1):
-        pref = [0] * n
-        for v in js[: i - 1]:
-            pref[v - 1] += 1
-        blocks.append(Block(tuple(pref), js[i - 1] + 1, d - i + 1))
-    return blocks
-
-
-def block_monomials(block: Block, n: int) -> list:
-    """The monomials a block stands for, deglex descending (they share the
-    prefix, and enumerate_degree yields the tails in that order); empty
-    when the bracket starts past the last variable."""
-    if block.start > n:
-        return []
-    width = n - block.start + 1
-    out = []
-    for tail in enumerate_degree(width, block.r):
-        w = list(block.prefix)
-        for t, e in enumerate(tail):
-            w[block.start - 1 + t] += e
-        out.append(tuple(w))
-    return out
 
 
 def lexsegment_count_vector(n: int, d: int, mu: int) -> tuple:

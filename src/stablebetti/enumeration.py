@@ -242,13 +242,6 @@ def _walk_caps(n, dmax, budget):
     return cap, message
 
 
-def _walk_setup(n, dmax, budget):
-    """The layers of the unconstrained walk over the bound as given, its
-    ideal cap and the message of the error past it."""
-    cap, message = _walk_caps(n, dmax, budget)
-    return _walk_layers(n, dmax), cap, message
-
-
 def enumerate_strongly_stable(n, dmax, budget=None):
     """Yield every nonzero strongly stable ideal in n variables whose
     minimal generators all have degree <= dmax, each exactly once, in a
@@ -261,7 +254,8 @@ def enumerate_strongly_stable(n, dmax, budget=None):
     counted before the first is built: past the budget, the first next()
     raises BudgetExceededError carrying the partial count.
     """
-    layers, cap, message = _walk_setup(n, dmax, budget)
+    cap, message = _walk_caps(n, dmax, budget)
+    layers = _walk_layers(n, dmax)
     _count(layers, cap, message)
     chains = _chains(layers, [None] * len(layers))
     next(chains)  # the empty chain: the walk excludes before it includes

@@ -16,8 +16,8 @@ from .betti import corners_from_counts, extremal_corners
 from .constructions import subring_lexsegment
 from .errors import DomainError, InfeasibleProfileError, StableBettiError
 from .ideals import MonomialIdeal, class_degree_counts, counts_to_matrix, is_stable
-from .macaulay import binom, iterated_cumsum_last, macaulay_shift
-from .monomials import divides
+from .macaulay import iterated_cumsum_last, macaulay_shift
+from .monomials import class_size, divides
 from .oracle import oracle_betti
 
 
@@ -146,7 +146,7 @@ def check_profile(profile: ExtremalProfile) -> ProfileCheck:
     checks = []
     i_k, j_k, b_k = t[-1]
     checks.append(
-        ProfileInequality(k, f"b_{k} within class {i_k + 1} at degree {j_k}", b_k, binom(i_k + j_k - 1, i_k))
+        ProfileInequality(k, f"b_{k} within class {i_k + 1} at degree {j_k}", b_k, class_size(i_k + 1, j_k))
     )
     forced = forced_counts(profile)
     for p in range(k - 1, 0, -1):
@@ -156,7 +156,7 @@ def check_profile(profile: ExtremalProfile) -> ProfileCheck:
                 p,
                 f"forced count {forced[p]} plus b_{p} within class {i_p + 1} at degree {j_p}",
                 forced[p] + b_p,
-                binom(i_p + j_p - 1, i_p),
+                class_size(i_p + 1, j_p),
             )
         )
     return ProfileCheck(profile, tuple(reversed(checks)))

@@ -123,7 +123,3 @@ def parse_profile(text: str, n: int) -> ExtremalProfile:
         return ExtremalProfile.from_triples(n, triples)
     except StableBettiError as exc:
         raise MalformedInputError(str(exc))
-
-
-def format_profile(profile: ExtremalProfile) -> str:
-    return ";".join(f"{i},{j},{b}" for i, j, b in profile.triples)

@@ -224,10 +224,6 @@ class GeneratorMatrix:
     def jmax(self):
         return self.jmin + len(self.rows) - 1
 
-    @property
-    def is_zero(self):
-        return all(not any(r) for r in self.rows)
-
     def row(self, j: int) -> tuple:
         """mu row at degree j, extending by zeros below and by the
         stabilization rule above the stored range."""

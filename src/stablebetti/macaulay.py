@@ -13,7 +13,7 @@ from functools import lru_cache
 from itertools import accumulate
 from math import comb
 
-from .errors import DomainError, StableBettiError
+from .errors import DomainError
 
 
 def binom(p: int, q: int) -> int:
@@ -77,11 +77,7 @@ def macaulay_rep(a: int, d: int) -> MacaulayRep:
         k = greedy_arg(rem, i)
         ks.append(k)
         rem -= binom(k, i)
-    if rem:
-        raise StableBettiError(
-            f"the greedy {d}-th Macaulay representation of {a} does not sum to it "
-            f"(remainder {rem})"
-        )
+    # nothing is left: the last step takes k = rem, as binom(rem, 1) = rem
     return MacaulayRep(a, d, tuple(ks))
 
 
@@ -120,7 +116,9 @@ def min_shift_preimage(k: int, i: int, ell: int) -> int:
 def is_o_sequence(m) -> bool:
     """O-sequence test in vector form: m_1 = 1 and m_{i+1} <= m_i^<i-1>
     for every i >= 2.  No constraint ties m_2 to m_1; callers needing the
-    degree bound m_2 <= d enforce it themselves.
+    degree bound m_2 <= d enforce it themselves.  Read from 0 as a
+    Hilbert function, the same test is h_0 = 1 and h_{d+1} <= h_d^<d>
+    for d >= 1.
     """
     m = tuple(m)
     if not m:
@@ -134,11 +132,6 @@ def is_o_sequence(m) -> bool:
         if m[t] > macaulay_shift(m[t - 1], t - 1, 1):
             return False
     return True
-
-
-# For a sequence indexed from 0 (Hilbert-function style), h_0 = 1 and
-# h_{d+1} <= h_d^<d> for d >= 1 is is_o_sequence's test term for term.
-is_o_sequence_from_zero = is_o_sequence
 
 
 def cumsum(v) -> tuple:

@@ -26,14 +26,6 @@ def deglex_key(u):
     return (sum(u), u)
 
 
-def deglex_compare(u, v) -> int:
-    """-1, 0 or 1 as u <, =, > v in degree-lexicographic order."""
-    if len(u) != len(v):
-        raise DomainError("monomials live in different rings")
-    a, b = deglex_key(u), deglex_key(v)
-    return (a > b) - (a < b)
-
-
 def divides(g, u) -> bool:
     return all(ge <= ue for ge, ue in zip(g, u))
 

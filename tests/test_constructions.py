@@ -6,14 +6,11 @@ import pytest
 import stablebetti as sb
 from stablebetti import constructions
 from stablebetti.constructions import (
-    Block,
-    block_monomials,
     check_matrix_lexsegment,
     check_matrix_necessary,
     is_lexsegment_count_vector,
     lexsegment_count_vector,
     lexsegment_ideal,
-    lower_segment_blocks,
     piecewise_lexsegment,
     realize_matrix_greedy,
     strongly_stable_with_counts,
@@ -175,39 +172,6 @@ def test_lexsegment_ideal_examples():
         for build in (lexsegment_ideal, lexsegment_count_vector):
             with pytest.raises(sb.DomainError, match=message):
                 build(n, d, 1)
-
-
-def test_lower_segment_blocks_examples():
-    blocks = lower_segment_blocks((0, 2, 0))
-    assert blocks == [Block((0, 0, 0), 3, 2), Block((0, 1, 0), 3, 1)]
-    mons = [set(block_monomials(b, 3)) for b in blocks]
-    assert mons == [{(0, 0, 2)}, {(0, 1, 1)}]
-
-    smallest = lower_segment_blocks((0, 0, 3))
-    assert all(block_monomials(b, 3) == [] for b in smallest)
-
-    with pytest.raises(sb.DomainError):
-        lower_segment_blocks((0, 0, 0))
-
-
-def test_lower_segment_blocks_partition():
-    for n in (2, 3, 4):
-        for d in (1, 2, 3, 4):
-            for u in enumerate_degree(n, d):
-                if sum(u) == 0:
-                    continue
-                blocks = lower_segment_blocks(u)
-                union = []
-                for b in blocks:
-                    mons = block_monomials(b, n)
-                    assert mons == sorted(mons, key=deglex_key, reverse=True)
-                    union.extend(mons)
-                assert len(union) == len(set(union))
-                below = [v for v in enumerate_degree(n, d) if deglex_key(v) < deglex_key(u)]
-                assert set(union) == set(below)
-                js = [t + 1 for t in range(n) for _ in range(u[t])]
-                size = sum(binom(n - js[p - 1] + d - p, d - p + 1) for p in range(1, d + 1))
-                assert size == len(below)
 
 
 def test_lexsegment_count_vector_examples():

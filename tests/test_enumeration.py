@@ -212,7 +212,8 @@ def _outcome(count, n, dmax, budget):
 
 def _walked_count(n, dmax, budget):
     # reference: visit the nonempty chains one by one under the budget
-    layers, cap, message = enumeration._walk_setup(n, dmax, budget)
+    cap, message = enumeration._walk_caps(n, dmax, budget)
+    layers = enumeration._walk_layers(n, dmax)
     seen = 0
     for masks in _chains(layers, [None] * len(layers)):
         if any(masks):

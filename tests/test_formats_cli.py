@@ -8,7 +8,6 @@ from stablebetti.cli import main
 from stablebetti.formats import (
     format_ideal,
     format_matrix,
-    format_profile,
     parse_ideal_text,
     parse_matrix_text,
     parse_profile,
@@ -47,7 +46,7 @@ def test_parse_matrix():
     M = parse_matrix_text("n=4 jmin=5\n1 3 2 2\n1 4 6 9\n")
     assert M.n == 4 and M.jmin == 5 and M.rows == ((1, 3, 2, 2), (1, 4, 6, 9))
     assert parse_matrix_text(format_matrix(M)) == M
-    for text in ("", "n=4\n1 2 3 4\n", "n=2 jmin=1\n1\n", "n=2 jmin=1\n"):
+    for text in ("", "n=4\n1 2 3 4\n", "n=2 jmin=1\n1\n", "n=2 jmin=1\n", "n=2 jmin=0\n1 0\n"):
         with pytest.raises(sb.MalformedInputError):
             parse_matrix_text(text)
 
@@ -55,7 +54,6 @@ def test_parse_matrix():
 def test_parse_profile():
     prof = parse_profile("3,2,2;2,4,2", 4)
     assert prof.triples == ((2, 4, 2), (3, 2, 2))
-    assert format_profile(prof) == "2,4,2;3,2,2"
     for text in ("", "1,2", "a,b,c", "2,0,1", "3,2,1;2,2,1"):
         with pytest.raises(sb.MalformedInputError):
             parse_profile(text, 4)
@@ -98,6 +96,16 @@ def test_cli_betti_and_matrix(tmp_path, capsys):
     assert code == 0
     assert out.splitlines() == ["n=3 jmin=4", "1 4 1", "1 5 9"]
 
+    for text, message in (
+        ("n=x\n1 0\n", "bad variable count"),
+        ("n=2\n1 -1\n", "negative exponent"),
+    ):
+        path.write_text(text)
+        code, _, err = run_cli(capsys, "betti", str(path))
+        assert code == 2 and err.startswith("input error:") and message in err, text
+    code, _, err = run_cli(capsys, "betti", str(tmp_path / "missing.txt"))
+    assert code == 2 and err.startswith("input error: cannot read")
+
 
 def test_cli_check_and_realize(tmp_path, capsys):
     good = tmp_path / "good.txt"
@@ -119,10 +127,19 @@ def test_cli_check_and_realize(tmp_path, capsys):
     code, _, err = run_cli(capsys, "realize-matrix", str(obstruction))
     assert code == 1 and "not realized" in err
 
+    # jmin=0 is refused by GeneratorMatrix, whose DomainError the parser
+    # reports as malformed input
     malformed = tmp_path / "malformed.txt"
-    malformed.write_text("nonsense\n")
-    code, _, err = run_cli(capsys, "check-matrix", str(malformed))
-    assert code == 2 and "input error" in err
+    for text, message in (
+        ("nonsense\n", "matrix file must start with"),
+        ("n=a jmin=1\n1\n", "bad matrix header"),
+        ("n=2 jmin=1\n1 x\n", "bad matrix row"),
+        ("n=2 jmin=1\n1 -1\n", "negative entry"),
+        ("n=2 jmin=0\n1 0\n", "jmin must be positive"),
+    ):
+        malformed.write_text(text)
+        code, _, err = run_cli(capsys, "check-matrix", str(malformed))
+        assert code == 2 and err.startswith("input error:") and message in err, text
 
 
 def test_cli_construct(capsys):
@@ -141,6 +158,9 @@ def test_cli_construct(capsys):
     code, out, _ = run_cli(capsys, "construct", "murai", "--counts", "1,2,2")
     assert code == 0
     assert sb.count_vector(parse_ideal_text(out)) == (1, 2, 2)
+    for counts, message in (("1,a", "bad count vector"), (",", "empty count vector")):
+        code, _, err = run_cli(capsys, "construct", "murai", "--counts", counts)
+        assert code == 2 and err.startswith("input error:") and message in err, counts
 
     code, out, _ = run_cli(capsys, "construct", "u-ideal", "--n", "4", "--ell", "4", "--k", "2", "--d", "2")
     assert code == 0
@@ -229,10 +249,11 @@ def test_cli_extremal_confirmation(capsys):
     )
     assert code == 1
     assert "confirmed" in json.loads(out)["confirmation"]
-    code, out, _ = run_cli(
-        capsys, "extremal", "check", "--profile", "2,8,2;3,2,2", "--n", "4", "--confirm"
-    )
-    assert code == 1 and "only offered" in out
+    # past the default enumeration bound on either side, no search runs
+    for profile, n in (("2,8,2;3,2,2", "4"), ("2,4,2;3,2,2", "5")):
+        code, out, _ = run_cli(capsys, "extremal", "check", "--profile", profile, "--n", n, "--confirm")
+        assert code == 1
+        assert "search confirmation only offered for n <= 4 and corner degrees <= 5" in out
 
 
 def test_cli_construct_confirmation(capsys):

@@ -240,7 +240,7 @@ def test_matrix_canonical_and_eq():
     c = M.canonical()
     assert c.jmin == 2 and c.rows == ((1, 0, 0),)
     assert M == GeneratorMatrix(3, 2, ((1, 0, 0),))
-    assert GeneratorMatrix(3, 1, ()).is_zero
+    assert GeneratorMatrix(3, 1, ()).canonical().rows == ()
     assert GeneratorMatrix(3, 4, ((0, 0, 0),)).canonical().rows == ()
 
 

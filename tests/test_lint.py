@@ -1,4 +1,5 @@
 import ast
+import importlib
 from pathlib import Path
 
 import stablebetti
@@ -43,6 +44,17 @@ MOVED_TO_TESTS = {
 }
 
 
+# helpers that only their own tests called, deleted rather than moved
+DELETED = {
+    "constructions": ("Block", "lower_segment_blocks", "block_monomials"),
+    "monomials": ("deglex_compare",),
+    "betti": ("table_from_json",),
+    "formats": ("format_profile",),
+    "macaulay": ("is_o_sequence_from_zero",),
+    "enumeration": ("_walk_setup",),
+}
+
+
 def test_reference_uses_only_public_library_names():
     # the test-side references stay independent of the library's internals
     path = Path(__file__).parent / "reference.py"
@@ -56,7 +68,8 @@ def test_reference_uses_only_public_library_names():
 
 
 def test_test_only_references_left_the_library():
-    for module, names in MOVED_TO_TESTS.items():
+    for module, names in (*MOVED_TO_TESTS.items(), *DELETED.items()):
         for name in names:
             assert not hasattr(stablebetti, name), name
-            assert not hasattr(getattr(stablebetti, module), name), f"{module}.{name}"
+            assert not hasattr(importlib.import_module(f"stablebetti.{module}"), name), f"{module}.{name}"
+    assert not hasattr(stablebetti.GeneratorMatrix, "is_zero")

@@ -9,7 +9,6 @@ from stablebetti.macaulay import (
     binom,
     cumsum,
     is_o_sequence,
-    is_o_sequence_from_zero,
     iterated_cumsum_last,
     macaulay_rep,
     macaulay_shift,
@@ -208,4 +207,4 @@ def test_o_sequence_matches_lexsegment_ideal_property():
             for h2 in range(0, bounds[2] + 1):
                 for h3 in range(0, bounds[3] + 1):
                     h = (1, h1, h2, h3)
-                    assert is_o_sequence_from_zero(h) == lex_space_is_ideal(h, n), (n, h)
+                    assert is_o_sequence(h) == lex_space_is_ideal(h, n), (n, h)
