@@ -30,6 +30,12 @@ most n, so conjugation makes the count at (n, dmax) equal the one at
 (dmax, n), and counting runs with no more variables than degrees, the
 orientation whose top layer, binom(n + dmax - 1, dmax), is the smaller.
 
+Enumeration counts first, then lists its ideals by maximal generator
+degree d = 1..dmax: those of degree d are the chains of degrees 1..d
+whose degree-d set adds something to its shadow.  Each such bucket is
+walked, sorted and yielded before the next, so the canonical order,
+which begins with the maximal degree, needs no sort of the whole bound.
+
 Searches prune with per-degree, per-class counts of new generators (the
 elements of B_d outside the shadow).  A generator-matrix target pins
 them through m_{i,d} = mu_{i,d} - sum_{q<=i} mu_{q,d-1}; an extremal
@@ -216,10 +222,6 @@ def _generators(layers, masks):
     return gens
 
 
-def _canonical_key(gens):
-    return (max(sum(g) for g in gens), tuple(deglex_key(g) for g in gens))
-
-
 def _walk_caps(n, dmax, budget):
     """The ideal cap of the unconstrained walk behind enumeration and
     counting, and the message of the error past it, judged on the bound
@@ -242,6 +244,15 @@ def _walk_caps(n, dmax, budget):
     return cap, message
 
 
+def _count_layers(n, dmax) -> list:
+    """The layers a count of the bound walks: those of its conjugate when
+    that has fewer variables, unless the conjugate is past the degree cap.
+    The count is the same either way."""
+    if max(n, dmax) <= DEGREE_CAP:
+        n, dmax = min(n, dmax), max(n, dmax)
+    return _walk_layers(n, dmax)
+
+
 def enumerate_strongly_stable(n, dmax, budget=None):
     """Yield every nonzero strongly stable ideal in n variables whose
     minimal generators all have degree <= dmax, each exactly once, in a
@@ -253,14 +264,21 @@ def enumerate_strongly_stable(n, dmax, budget=None):
     dmax <= 5, so pass an explicit budget to go further.  The ideals are
     counted before the first is built: past the budget, the first next()
     raises BudgetExceededError carrying the partial count.
+
+    Each maximal-degree bucket is walked, sorted and yielded before the
+    next, so only one is held at a time: the first ideal waits for
+    degree 1's alone, and a full pass holds the largest, the top degree's.
     """
     cap, message = _walk_caps(n, dmax, budget)
+    _count(_count_layers(n, dmax), cap, message)
     layers = _walk_layers(n, dmax)
-    _count(layers, cap, message)
-    chains = _chains(layers, [None] * len(layers))
-    next(chains)  # the empty chain: the walk excludes before it includes
-    for gens in sorted((_generators(layers, masks) for masks in chains), key=_canonical_key):
-        yield MonomialIdeal(n, gens)
+    for d in range(1, dmax + 1):
+        chains = _chains(layers[:d], [None] * d)
+        bucket = [_generators(layers, masks) for masks in chains if masks[-1]]
+        # the maximal degree is d throughout, so the generators alone order the bucket
+        bucket.sort(key=lambda gens: tuple(map(deglex_key, gens)))
+        for gens in bucket:
+            yield MonomialIdeal(n, gens)
 
 
 def count_strongly_stable(n, dmax, budget=None) -> int:
@@ -270,9 +288,7 @@ def count_strongly_stable(n, dmax, budget=None) -> int:
     its conjugate when that has fewer variables, unless the conjugate
     is past the degree cap."""
     cap, message = _walk_caps(n, dmax, budget)
-    if max(n, dmax) <= DEGREE_CAP:
-        n, dmax = min(n, dmax), max(n, dmax)
-    return _count(_walk_layers(n, dmax), cap, message)
+    return _count(_count_layers(n, dmax), cap, message)
 
 
 def _count(layers, cap, message) -> int:

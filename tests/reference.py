@@ -5,9 +5,10 @@ internals, so that a test comparing it with the library checks two
 routes: upper Koszul complexes with their reduced homology over the
 rationals (against the table oracle), the ideal of a graded component,
 the restriction to a leading subring, the k-th biggest monomial of a
-max-index class by unranking (against enumeration), and the conjugation
+max-index class by unranking (against enumeration), the conjugation
 that sends the strongly stable ideals of one bound onto those of the
-transposed bound (against counting).
+transposed bound (against counting), and the canonical order of
+enumeration as one sort of a whole bound (against its bucketed sort).
 """
 
 from dataclasses import dataclass
@@ -179,4 +180,20 @@ def conjugate_generators(I: MonomialIdeal, d: int) -> frozenset:
     return frozenset(
         w for w in image
         if not any(w[i] and w[:i] + (w[i] - 1,) + w[i + 1:] in image for i in range(d))
+    )
+
+
+def canonical_order(gen_lists) -> list:
+    """The generator lists in enumeration's canonical order, by one sort
+    of them all: by maximal generator degree, then lexicographically on
+    the lists read by ascending degree and, within a degree, by
+    descending deglex, comparing monomials by degree and then exponent
+    vector.  Each list comes back in that reading order."""
+
+    def read(gens):
+        return sorted(gens, key=lambda g: (sum(g), tuple(-e for e in g)))
+
+    return sorted(
+        (read(gens) for gens in gen_lists),
+        key=lambda gens: (max(sum(g) for g in gens), [(sum(g), tuple(g)) for g in gens]),
     )
