@@ -34,7 +34,6 @@ from .errors import (
     DEFAULT_BUDGET,
     BudgetExceededError,
     DomainError,
-    InfeasibleProfileError,
     MalformedInputError,
 )
 from .formats import (
@@ -384,9 +383,6 @@ def main(argv=None) -> int:
     except (MalformedInputError, DomainError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except InfeasibleProfileError as exc:
-        print(f"infeasible: {exc}", file=sys.stderr)
-        return 1
     except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return 3

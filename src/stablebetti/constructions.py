@@ -279,9 +279,12 @@ def realize_matrix_greedy(M: GeneratorMatrix) -> GreedyResult:
     row).
 
     Success guarantees the matrix is realized.  Failure reports the first
-    degree and class where strong stability breaks or the class runs out
-    of monomials; for three or fewer variables failure cannot occur when
-    the necessary conditions hold.
+    degree and class where strong stability breaks; for three or fewer
+    variables it cannot occur.  No class runs out of monomials: each
+    nonzero row is an O-sequence with mu_1 = 1 and mu_2 <= j, and the
+    Macaulay shift is monotone, so mu_{i,j} <= binom(i+j-2, j-1), the
+    size of class i; the strongly stable ideal below degree j already
+    holds cumsum(row j-1) of that class, so the new ones always fit.
     """
     check = check_matrix_necessary(M)
     if not check.ok:
@@ -300,21 +303,8 @@ def realize_matrix_greedy(M: GeneratorMatrix) -> GreedyResult:
         new_gens = []
         # nonnegative: check_matrix_necessary passed the cumulative inequality
         for i, need in enumerate(new_generator_row(canon, j), 1):
-            if need == 0:
-                continue
-            picked = []
-            for u in monomials_with_max_index(i, j, n):
-                if not inside(u):
-                    picked.append(u)
-                    if len(picked) == need:
-                        break
-            if len(picked) < need:
-                return GreedyResult(
-                    None, j, i,
-                    f"class {i} exhausted at degree {j}: needed {need} new monomials, "
-                    f"found {len(picked)}",
-                )
-            new_gens.extend(picked)
+            missing = (u for u in monomials_with_max_index(i, j, n) if not inside(u))
+            new_gens.extend(islice(missing, need))
         # outside the ideal and above its degrees, so still minimal
         gens.extend(new_gens)
         # lower degrees passed at their own step and the ideal only grew,

@@ -32,24 +32,12 @@ def parse_ideal_text(text: str) -> MonomialIdeal:
         n = int(head[2:])
     except ValueError:
         raise MalformedInputError(f"bad variable count {head[2:]!r}")
-    if n < 1:
-        raise MalformedInputError("variable count must be positive")
     gens = []
     for line in lines[1:]:
-        parts = line.split()
         try:
-            exps = tuple(int(p) for p in parts)
+            gens.append(tuple(int(p) for p in line.split()))
         except ValueError:
             raise MalformedInputError(f"bad exponent line {line!r}")
-        if len(exps) != n:
-            raise MalformedInputError(
-                f"expected {n} exponents, got {len(exps)} in line {line!r}"
-            )
-        if any(e < 0 for e in exps):
-            raise MalformedInputError(f"negative exponent in line {line!r}")
-        gens.append(exps)
-    if not gens:
-        raise MalformedInputError("ideal file lists no generators")
     try:
         return minimalize(n, gens)
     except StableBettiError as exc:
@@ -67,14 +55,11 @@ def parse_matrix_text(text: str) -> GeneratorMatrix:
     if not lines:
         raise MalformedInputError("empty matrix file")
     head = lines[0].split()
-    fields = {}
-    for part in head:
-        if "=" not in part:
-            raise MalformedInputError('matrix file must start with "n=<int> jmin=<int>"')
-        key, _, val = part.partition("=")
-        fields[key.strip()] = val.strip()
-    if set(fields) != {"n", "jmin"}:
-        raise MalformedInputError('matrix header must define exactly "n" and "jmin"')
+    if not all("=" in part for part in head):
+        raise MalformedInputError('matrix file must start with "n=<int> jmin=<int>"')
+    fields = dict(part.split("=", 1) for part in head)
+    if len(fields) != len(head) or set(fields) != {"n", "jmin"}:
+        raise MalformedInputError('matrix header must define "n" and "jmin", each once')
     try:
         n, jmin = int(fields["n"]), int(fields["jmin"])
     except ValueError:
@@ -82,14 +67,9 @@ def parse_matrix_text(text: str) -> GeneratorMatrix:
     rows = []
     for line in lines[1:]:
         try:
-            row = tuple(int(p) for p in line.split())
+            rows.append(tuple(int(p) for p in line.split()))
         except ValueError:
             raise MalformedInputError(f"bad matrix row {line!r}")
-        if len(row) != n:
-            raise MalformedInputError(f"expected {n} entries, got {len(row)} in {line!r}")
-        if any(x < 0 for x in row):
-            raise MalformedInputError(f"negative entry in {line!r}")
-        rows.append(row)
     if not rows:
         raise MalformedInputError("matrix file lists no rows")
     try:

@@ -24,6 +24,28 @@ from .monomials import (
 from .macaulay import binom, cumsum
 
 
+def _checked_generators(n, gens) -> tuple:
+    """The distinct generators as tuples, deglex descending; refuses
+    n < 1, an empty set, and a generator that is not n nonnegative
+    integers or is the monomial 1."""
+    gens = tuple(sorted({tuple(g) for g in gens}, key=deglex_key, reverse=True))
+    if n < 1:
+        raise DomainError("need at least one variable")
+    if not gens:
+        raise DomainError("empty generating set: the zero ideal is not constructible here")
+    for g in gens:
+        if len(g) != n:
+            raise DomainError(f"generator {g} has {len(g)} exponents, not {n}")
+        for e in g:
+            if not isinstance(e, int):
+                raise DomainError(f"generator {g} has a non-integer exponent {e!r}")
+            if e < 0:
+                raise DomainError(f"generator {g} has a negative exponent")
+        if not any(g):
+            raise UnitIdealError("the monomial 1 generates the unit ideal")
+    return gens
+
+
 class MonomialIdeal:
     """A monomial ideal given by its minimal generating set.
 
@@ -34,18 +56,7 @@ class MonomialIdeal:
     __slots__ = ("n", "gens")
 
     def __init__(self, n, gens):
-        gens = tuple(sorted({tuple(g) for g in gens}, key=deglex_key, reverse=True))
-        if n < 1:
-            raise DomainError("need at least one variable")
-        if not gens:
-            raise DomainError("empty generating set: the zero ideal is not constructible here")
-        for g in gens:
-            if len(g) != n:
-                raise DomainError("generator length does not match the variable count")
-            if any(e < 0 for e in g):
-                raise DomainError("negative exponent")
-            if not any(g):
-                raise UnitIdealError("the monomial 1 generates the unit ideal")
+        gens = _checked_generators(n, gens)
         # a proper divisor has lower degree, so it sorts after its multiple
         for t, b in enumerate(gens):
             for a in gens[t + 1:]:
@@ -81,11 +92,9 @@ class MonomialIdeal:
 
 def minimalize(n, raw) -> MonomialIdeal:
     """Inclusion-minimal generating set of the ideal generated by raw."""
-    raw = sorted({tuple(g) for g in raw}, key=sum)
-    if not raw:
-        raise DomainError("empty generating set")
     kept = []
-    for g in raw:
+    # ascending degree, so every divisor of g is kept before g
+    for g in reversed(_checked_generators(n, raw)):
         if not any(divides(h, g) for h in kept):
             kept.append(g)
     return MonomialIdeal(n, kept)
@@ -216,9 +225,12 @@ class GeneratorMatrix:
             raise DomainError("jmin must be positive")
         for row in self.rows:
             if len(row) != self.n:
-                raise DomainError("row length does not match the variable count")
-            if any(x < 0 for x in row):
-                raise DomainError("negative entry")
+                raise DomainError(f"row {row} has {len(row)} entries, not {self.n}")
+            for x in row:
+                if not isinstance(x, int):
+                    raise DomainError(f"row {row} has a non-integer entry {x!r}")
+                if x < 0:
+                    raise DomainError(f"row {row} has a negative entry")
 
     @property
     def jmax(self):

@@ -28,6 +28,14 @@ EX_TABLE = BettiTable(3, {
 })
 
 
+def test_equal_tables_hash_equal():
+    items = list(EX_TABLE.entries.items())
+    T = BettiTable(3, dict(items[::-1] + [((1, 9), 0)]))
+    assert T == EX_TABLE and hash(T) == hash(EX_TABLE)
+    assert len({T, EX_TABLE}) == 1
+    assert BettiTable(4, dict(items)) not in {EX_TABLE}
+
+
 def test_ek_on_example():
     assert ek_betti(EX_I) == EX_TABLE
 

@@ -18,7 +18,7 @@ from stablebetti.constructions import (
     subring_lexsegment_ideal,
 )
 from stablebetti.ideals import GeneratorMatrix, MonomialIdeal
-from stablebetti.macaulay import binom
+from stablebetti.macaulay import binom, cumsum, macaulay_shift
 from stablebetti.monomials import (
     class_size,
     deglex_key,
@@ -347,6 +347,44 @@ def test_realize_greedy_builds_one_ideal(monkeypatch):
         assert len(built) == result.ok
         realized += result.ok and len(M.rows) > 1
     assert realized > 10
+
+
+def _random_admissible_row(rng, j, floor):
+    """A degree-j O-sequence with second entry at most j that dominates
+    floor entrywise, often at its upper bound; None when floor is out of
+    reach."""
+    row = [1]
+    for t in range(1, len(floor)):
+        top = j if t == 1 else macaulay_shift(row[-1], t - 1, 1)
+        if floor[t] > top:
+            return None
+        row.append(rng.choice((top, rng.randint(floor[t], min(top, floor[t] + 4)))))
+    return tuple(row)
+
+
+def test_realize_greedy_fails_only_on_strong_stability():
+    # no class runs out of monomials on an admissible matrix, so every
+    # result is the matrix realized or a strong-stability break
+    rng = random.Random(21)
+    realized = 0
+    for _ in range(600):
+        n, jmin = rng.choice((4, 5)), rng.randint(1, 3)
+        rows, floor = [], (0,) * n
+        for j in range(jmin, jmin + rng.randint(1, 3)):
+            row = _random_admissible_row(rng, j, floor)
+            if row is None:
+                break
+            rows.append(row)
+            floor = cumsum(row)
+        M = GeneratorMatrix(n, jmin, tuple(rows))
+        assert check_matrix_necessary(M).ok
+        result = realize_matrix_greedy(M)
+        if result.ok:
+            assert sb.generator_matrix(result.ideal) == M.canonical()
+            realized += 1
+        else:
+            assert "breaks strong stability" in result.reason, (M, result.reason)
+    assert realized > 500
 
 
 def test_realize_greedy_single_row_is_piecewise():

@@ -46,7 +46,10 @@ def test_parse_matrix():
     M = parse_matrix_text("n=4 jmin=5\n1 3 2 2\n1 4 6 9\n")
     assert M.n == 4 and M.jmin == 5 and M.rows == ((1, 3, 2, 2), (1, 4, 6, 9))
     assert parse_matrix_text(format_matrix(M)) == M
-    for text in ("", "n=4\n1 2 3 4\n", "n=2 jmin=1\n1\n", "n=2 jmin=1\n", "n=2 jmin=0\n1 0\n"):
+    for text in (
+        "", "n=4\n1 2 3 4\n", "n=2 jmin=1\n1\n", "n=2 jmin=1\n", "n=2 jmin=0\n1 0\n",
+        "n=2 jmin=1 n=3\n1 0 0\n",
+    ):
         with pytest.raises(sb.MalformedInputError):
             parse_matrix_text(text)
 
@@ -105,6 +108,17 @@ def test_cli_betti_and_matrix(tmp_path, capsys):
         assert code == 2 and err.startswith("input error:") and message in err, text
     code, _, err = run_cli(capsys, "betti", str(tmp_path / "missing.txt"))
     assert code == 2 and err.startswith("input error: cannot read")
+
+
+def test_cli_names_the_offending_generator_or_row(tmp_path, capsys):
+    # the wrong-length generator is refused though (1, 0) divides it
+    path = tmp_path / "ideal.txt"
+    path.write_text("n=2\n1 0\n1 0 5\n")
+    code, _, err = run_cli(capsys, "betti", str(path))
+    assert code == 2 and "generator (1, 0, 5) has 3 exponents, not 2" in err
+    path.write_text("n=2 jmin=1\n1 0\n1 2 3\n")
+    code, _, err = run_cli(capsys, "check-matrix", str(path))
+    assert code == 2 and "row (1, 2, 3) has 3 entries, not 2" in err
 
 
 def test_cli_check_and_realize(tmp_path, capsys):
@@ -343,6 +357,17 @@ def test_cli_verify_paper(capsys):
     assert "two-corner-example-low-value-2" in names
     code, out, _ = run_cli(capsys, "verify-paper", "--budget", "1")
     assert code == 3 and "SKIP" in out
+
+
+def test_cli_verify_paper_fails_on_a_failing_fixture(capsys, monkeypatch):
+    import stablebetti.verify as verify_mod
+
+    fixtures = verify_mod.load_fixtures()
+    fx = next(f for f in fixtures if f["kind"] == "shift-values")
+    fx["cases"][0]["expected"] += 1
+    monkeypatch.setattr(verify_mod, "load_fixtures", lambda: fixtures)
+    code, out, _ = run_cli(capsys, "verify-paper")
+    assert code == 1 and f"FAIL {fx['name']}:" in out
 
 
 def test_cli_count_only_matches_count(capsys):

@@ -45,6 +45,23 @@ def test_unit_ideal_rejected():
         sb.minimalize(2, [])
 
 
+def test_minimalize_checks_every_generator_first():
+    # the wrong-length generator is refused in either order, though
+    # (1, 0) divides it
+    for raw in ([(1, 0), (1, 0, 5)], [(1, 0, 5), (1, 0)]):
+        with pytest.raises(sb.DomainError, match=r"generator \(1, 0, 5\) has 3 exponents, not 2"):
+            sb.minimalize(2, raw)
+
+
+def test_non_integer_values_refused():
+    with pytest.raises(sb.DomainError, match=r"generator \(0\.5, 0\) has a non-integer exponent"):
+        MonomialIdeal(2, [(0.5, 0), (0, 1)])
+    with pytest.raises(sb.DomainError, match="non-integer"):
+        sb.minimalize(2, [(2, 0), (1, 1.0)])
+    with pytest.raises(sb.DomainError, match=r"row \(1, 0\.5\) has a non-integer entry"):
+        GeneratorMatrix(2, 1, ((1, 0.5),))
+
+
 def test_nonminimal_constructor_rejected():
     with pytest.raises(sb.DomainError):
         MonomialIdeal(2, [(2, 0), (2, 1)])
@@ -242,6 +259,11 @@ def test_matrix_canonical_and_eq():
     assert M == GeneratorMatrix(3, 2, ((1, 0, 0),))
     assert GeneratorMatrix(3, 1, ()).canonical().rows == ()
     assert GeneratorMatrix(3, 4, ((0, 0, 0),)).canonical().rows == ()
+
+
+def test_matrix_is_never_equal_to_another_type():
+    M = GeneratorMatrix(2, 1, ((1, 1),))
+    assert (M == object()) is False and M != object()
 
 
 def test_zero_ideal_behavior():

@@ -44,3 +44,13 @@ def test_bench_self_check():
         capture_output=True, text=True, cwd=ROOT, timeout=300,
     )
     assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_mutant_list_matches_the_tree():
+    # each mutant's snippet occurs once in its file and its tests exist;
+    # the mutants themselves run only from the script
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "mutants.py"), "--check"],
+        capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
