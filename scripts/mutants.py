@@ -9,9 +9,8 @@ A survivor is a finding about the tests, recorded rather than deleted;
 a mutant marked equivalent changes no result, only time or memory, so
 it is expected to survive.
 
-    python3 scripts/mutants.py                 # run every mutant
-    python3 scripts/mutants.py --only NAME ... # run the named mutants
-    python3 scripts/mutants.py --check         # snippets and tests exist; runs nothing
+    python3 scripts/mutants.py          # run every mutant
+    python3 scripts/mutants.py --check  # snippets and tests exist; runs nothing
 
 The check, which the test suite runs, confirms that every snippet occurs
 exactly once in its file and that every named test function exists, so
@@ -221,11 +220,11 @@ MUTANTS = (
 )
 
 
-def problems(mutants=MUTANTS):
+def problems():
     """Snippets that do not occur exactly once in their file, and named
     tests whose function is missing."""
     found = []
-    for m in mutants:
+    for m in MUTANTS:
         count = (ROOT / m.path).read_text(encoding="utf-8").count(m.snippet)
         if count != 1:
             found.append(f"{m.name}: snippet occurs {count} times in {m.path}")
@@ -257,19 +256,12 @@ def verdict(tree, env, m):
 def main():
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--check", action="store_true", help="only check the list against the tree")
-    parser.add_argument("--only", nargs="+", metavar="NAME", help="run these mutants")
     args = parser.parse_args()
-    mutants = MUTANTS
-    if args.only:
-        unknown = set(args.only) - {m.name for m in MUTANTS}
-        if unknown:
-            parser.error(f"unknown mutants: {', '.join(sorted(unknown))}")
-        mutants = [m for m in MUTANTS if m.name in args.only]
-    found = problems(mutants)
+    found = problems()
     for line in found:
         print(line)
     if found or args.check:
-        print(f"{len(mutants)} mutants listed, {len(found)} problems")
+        print(f"{len(MUTANTS)} mutants listed, {len(found)} problems")
         return 1 if found else 0
     # no bytecode: a mutant and the original can share a size and an mtime
     # second, and a stale .pyc would then run in place of the source
@@ -281,12 +273,12 @@ def main():
         shutil.copytree(ROOT, tree, ignore=ignore)
         env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
         # a kill counts only if the named tests pass on the unmutated copy
-        named = tuple(dict.fromkeys(node for m in mutants for node in m.tests))
-        baseline = verdict(tree, env, Mutant("baseline", mutants[0].path, "", "", named))
+        named = tuple(dict.fromkeys(node for m in MUTANTS for node in m.tests))
+        baseline = verdict(tree, env, Mutant("baseline", MUTANTS[0].path, "", "", named))
         if baseline != "survived":
             print(f"the named tests do not pass unmutated: {baseline}")
             return 1
-        for m in mutants:
+        for m in MUTANTS:
             result = verdict(tree, env, m)
             expected = "survived" if m.equivalent else "killed"
             label = result + (" (equivalent)" if m.equivalent else "")
@@ -294,7 +286,7 @@ def main():
             tally[label] = tally.get(label, 0) + 1
             print(f"{label:24} {m.name}", flush=True)
     summary = ", ".join(f"{count} {label}" for label, count in sorted(tally.items()))
-    print(f"{len(mutants)} mutants: {summary}; {unexpected} unexpected")
+    print(f"{len(MUTANTS)} mutants: {summary}; {unexpected} unexpected")
     return 1 if unexpected else 0
 
 
