@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .errors import DomainError, NotStableError
+from .errors import NotStableError, _checked_int
 from .ideals import MonomialIdeal, class_degree_counts, generator_counts, is_stable
 from .macaulay import binom
 
@@ -21,13 +21,9 @@ class BettiTable:
     def __post_init__(self):
         clean = {}
         for (i, j), b in self.entries.items():
-            if b == 0:
-                continue
-            if b < 0:
-                raise DomainError(f"negative Betti number at ({i}, {j})")
-            if i < 0:
-                raise DomainError("homological index must be nonnegative")
-            clean[(int(i), int(j))] = int(b)
+            # a zero entry is dropped, its position unread
+            if _checked_int("Betti number", b):
+                clean[(_checked_int("homological index i", i), _checked_int("degree j", j, None))] = b
         object.__setattr__(self, "entries", clean)
 
     def beta(self, i: int, j: int) -> int:
@@ -64,7 +60,9 @@ def counts_from_betti(T: BettiTable) -> dict:
     for d in degrees:
         for i in range(1, T.n + 2):
             m = 0
-            for k in range(0, T.n + 1):
+            # binom(k, i - 1) vanishes below k = i - 1, and from there the
+            # sign's exponent is nonnegative, so the sum stays in integers
+            for k in range(i - 1, T.n + 1):
                 b = T.beta(k, k + d)
                 if b:
                     m += (-1) ** (k - i + 1) * binom(k, i - 1) * b
@@ -79,8 +77,7 @@ def betti_from_counts(counts: dict, n: int) -> BettiTable:
     negative (inconsistent counts)."""
     entries = {}
     for (k, d), c in counts.items():
-        if not 1 <= k <= n + 1:
-            raise DomainError("count index out of range 1..n+1")
+        _checked_int("class index k", k, 1, n + 1)
         for i in range(0, k):
             key = (i, i + d)
             entries[key] = entries.get(key, 0) + binom(k - 1, i) * c

@@ -34,6 +34,7 @@ from .errors import (
     DEFAULT_BUDGET,
     BudgetExceededError,
     DomainError,
+    InfeasibleProfileError,
     MalformedInputError,
 )
 from .formats import (
@@ -185,46 +186,47 @@ def _search_confirmation(profile):
 
 def _cmd_extremal(args):
     profile = parse_profile(args.profile, args.n)
+    if args.what == "construct":
+        # nested_lex_ideal checks the profile, and its error carries the verdict
+        try:
+            ideal = nested_lex_ideal(profile)
+        except InfeasibleProfileError as exc:
+            bad = exc.check.failures()[0]
+            print(
+                f"infeasible: corner p={bad.p} needs {bad.lhs} <= {bad.rhs}; "
+                "no homogeneous ideal in characteristic 0 has these extremal corners",
+                file=sys.stderr,
+            )
+            if args.confirm:
+                print(_search_confirmation(profile), file=sys.stderr)
+            return 1
+        table = ek_betti(ideal)
+        print(format_ideal(ideal), end="")
+        for line in render(table).splitlines():
+            print(f"# {line}")
+        return 0
     verdict = check_profile(profile)
     confirmation = None
     if args.confirm and not verdict.ok:
         confirmation = _search_confirmation(profile)
-    if args.what == "check":
-        if args.json:
-            payload = {
-                "ok": verdict.ok,
-                "checks": [
-                    {"p": c.p, "lhs": c.lhs, "rhs": c.rhs, "ok": c.ok, "label": c.label}
-                    for c in verdict.checks
-                ],
-            }
-            if confirmation is not None:
-                payload["confirmation"] = confirmation
-            print(json.dumps(payload))
-        else:
-            for c in verdict.checks:
-                print(f"{'ok  ' if c.ok else 'FAIL'} p={c.p}: {c.lhs} <= {c.rhs} ({c.label})")
-            if confirmation is not None:
-                print(confirmation)
-            print("pass" if verdict.ok else "fail")
-        return 0 if verdict.ok else 1
-    # construct
-    if not verdict.ok:
-        bad = verdict.failures()[0]
-        print(
-            f"infeasible: corner p={bad.p} needs {bad.lhs} <= {bad.rhs}; "
-            "no homogeneous ideal in characteristic 0 has these extremal corners",
-            file=sys.stderr,
-        )
+    if args.json:
+        payload = {
+            "ok": verdict.ok,
+            "checks": [
+                {"p": c.p, "lhs": c.lhs, "rhs": c.rhs, "ok": c.ok, "label": c.label}
+                for c in verdict.checks
+            ],
+        }
         if confirmation is not None:
-            print(confirmation, file=sys.stderr)
-        return 1
-    ideal = nested_lex_ideal(profile)
-    table = ek_betti(ideal)
-    print(format_ideal(ideal), end="")
-    for line in render(table).splitlines():
-        print(f"# {line}")
-    return 0
+            payload["confirmation"] = confirmation
+        print(json.dumps(payload))
+    else:
+        for c in verdict.checks:
+            print(f"{'ok  ' if c.ok else 'FAIL'} p={c.p}: {c.lhs} <= {c.rhs} ({c.label})")
+        if confirmation is not None:
+            print(confirmation)
+        print("pass" if verdict.ok else "fail")
+    return 0 if verdict.ok else 1
 
 
 def _cmd_enumerate(args):

@@ -8,7 +8,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import islice
 
-from .errors import DomainError
+from .errors import DomainError, _checked_int, _checked_ints
 from .ideals import (
     GeneratorMatrix,
     MonomialIdeal,
@@ -32,24 +32,14 @@ def piecewise_lexsegment(d: int, counts) -> tuple:
     of every max-index class i.  Built unconditionally; returns the pair
     (ideal, strongly_stable) since the construction is strongly stable
     exactly when counts is an O-sequence with second entry at most d."""
-    counts = tuple(counts)
+    _checked_int("d", d, 1)
+    counts = _checked_ints("counts", counts)
     n = len(counts)
-    if d < 1:
-        raise DomainError("degree must be positive")
-    if not counts or any(c < 0 for c in counts):
-        raise DomainError("counts must be nonnegative")
     if not any(counts):
         raise DomainError("at least one count must be positive")
     gens = []
-    for i in range(1, n + 1):
-        c = counts[i - 1]
-        if c == 0:
-            continue
-        avail = class_size(i, d)
-        if c > avail:
-            raise DomainError(
-                f"class {i} has only {avail} monomials of degree {d}, requested {c}"
-            )
+    for i, c in enumerate(counts, 1):
+        _checked_int(f"count of class {i} in degree {d}", c, 0, class_size(i, d))
         gens.extend(islice(monomials_with_max_index(i, d, n), c))
     ideal = MonomialIdeal(n, gens)
     return ideal, is_strongly_stable(ideal)
@@ -71,12 +61,8 @@ def strongly_stable_with_counts(counts) -> MonomialIdeal:
 
     for j = k.
     """
-    counts = tuple(counts)
+    counts = _checked_ints("counts", counts)
     n = len(counts)
-    if not counts:
-        raise DomainError("empty count vector")
-    if any(c < 0 for c in counts):
-        raise DomainError("counts must be nonnegative")
     if counts[0] != 1:
         raise DomainError("infeasible counts: the first entry must be 1")
     for t in range(n - 1):
@@ -123,13 +109,9 @@ def subring_lexsegment_ideal(ell: int, k: int, d: int, n: int) -> MonomialIdeal:
 def subring_lexsegment(ell: int, k: int, d: int, n: int) -> list:
     """The minimal generators of subring_lexsegment_ideal(ell, k, d, n),
     deglex descending as the ideal stores them, without building it."""
-    if not 1 <= ell <= n:
-        raise DomainError("ell out of range")
-    bound = class_size(ell, d)
-    if not 1 <= k <= bound:
-        raise DomainError(
-            f"k={k} out of range: binom({ell + d - 2},{ell - 1}) = {bound}"
-        )
+    _checked_int("ell", ell, 1, _checked_int("n", n, 1))
+    _checked_int("d", d, 1)
+    _checked_int("k", k, 1, class_size(ell, d))
     pad = (0,) * (n - ell)
     gens = []
     for v in iter_degree(ell, d):
@@ -143,13 +125,10 @@ def subring_lexsegment(ell: int, k: int, d: int, n: int) -> list:
 
 def _lexsegment_bound(n: int, d: int, mu: int) -> int:
     """binom(n+d-1, d), once n, d and mu are checked to name a lexsegment."""
-    if n < 1:
-        raise DomainError("need at least one variable")
-    if d < 1:
-        raise DomainError("degree must be positive")
+    _checked_int("n", n, 1)
+    _checked_int("d", d, 1)
     bound = binom(n + d - 1, d)
-    if not 1 <= mu <= bound:
-        raise DomainError(f"mu={mu} out of range 1..{bound}")
+    _checked_int("mu", mu, 1, bound)
     return bound
 
 
@@ -177,9 +156,8 @@ def lexsegment_count_vector(n: int, d: int, mu: int) -> tuple:
 def is_lexsegment_count_vector(m, d: int) -> bool:
     """Whether some lexsegment ideal generated in degree d has count
     vector m."""
-    m = tuple(m)
-    if not m or any(x < 0 for x in m):
-        raise DomainError("counts must be nonnegative")
+    m = _checked_ints("m", m)
+    _checked_int("d", d, None)
     mu = sum(m)
     if mu == 0 or mu > binom(len(m) + d - 1, d):
         return False

@@ -49,7 +49,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .errors import DEFAULT_BUDGET, BudgetExceededError, DomainError
+from .errors import DEFAULT_BUDGET, BudgetExceededError, DomainError, _checked_int
 from .ideals import GeneratorMatrix, MonomialIdeal, new_generator_row
 from .macaulay import binom
 from .monomials import (
@@ -226,8 +226,8 @@ def _walk_caps(n, dmax, budget):
     """The ideal cap of the unconstrained walk behind enumeration and
     counting, and the message of the error past it, judged on the bound
     as given."""
-    if n < 1 or dmax < 1:
-        raise DomainError("need n >= 1 and dmax >= 1")
+    _checked_int("n", n, 1)
+    _checked_int("dmax", dmax, 1)
     if budget is None and (n > DEFAULT_ENUM_N or dmax > DEFAULT_ENUM_DMAX):
         raise BudgetExceededError(
             f"default budget covers n <= {DEFAULT_ENUM_N}, dmax <= {DEFAULT_ENUM_DMAX}; "
@@ -427,8 +427,8 @@ def random_strongly_stable(n, dmax, rng: random.Random) -> MonomialIdeal:
     """A random nonzero strongly stable ideal with generator degrees
     <= dmax, drawn by extending a random chain degree by degree with up
     to three new generators per degree."""
-    if n < 1 or dmax < 1:
-        raise DomainError("need n >= 1 and dmax >= 1")
+    _checked_int("n", n, 1)
+    _checked_int("dmax", dmax, 1)
     layers = _walk_layers(n, dmax)
     while True:
         gens = []

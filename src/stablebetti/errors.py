@@ -18,6 +18,34 @@ class DomainError(StableBettiError, ValueError):
     """Well-formed input outside an operation's precondition."""
 
 
+def _checked_int(name, x, lo=0, hi=None) -> int:
+    """x, when it is an integer in lo..hi (no bound where lo or hi is
+    None); otherwise a DomainError naming the argument and its bound.
+    The library's count, degree and index arguments pass here, so a
+    float is refused rather than truncated or walked forever."""
+    if isinstance(x, int) and (lo is None or lo <= x) and (hi is None or x <= hi):
+        return x
+    bound = "" if lo is None else f" >= {lo}" if hi is None else f" in {lo}..{hi}"
+    raise DomainError(f"{name} must be an integer{bound}, got {x!r}")
+
+
+def _checked_ints(name, v, length=None) -> tuple:
+    """v as a nonempty tuple of nonnegative integers, of the given length
+    when one is given; otherwise a DomainError naming the argument and
+    the tuple."""
+    v = tuple(v)
+    if length is not None and len(v) != length:
+        raise DomainError(f"{name} {v} has {len(v)} entries, not {length}")
+    if not v:
+        raise DomainError(f"{name} is empty")
+    for x in v:
+        if not isinstance(x, int):
+            raise DomainError(f"{name} {v} has a non-integer entry {x!r}")
+        if x < 0:
+            raise DomainError(f"{name} {v} has a negative entry {x}")
+    return v
+
+
 class UnitIdealError(DomainError):
     """The monomial 1 was offered as a generator."""
 

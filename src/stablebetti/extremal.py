@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 from .betti import corners_from_counts, extremal_corners
 from .constructions import subring_lexsegment
-from .errors import DomainError, InfeasibleProfileError, StableBettiError
+from .errors import DomainError, InfeasibleProfileError, StableBettiError, _checked_int, _checked_ints
 from .ideals import MonomialIdeal, class_degree_counts, counts_to_matrix, is_stable
 from .macaulay import iterated_cumsum_last, macaulay_shift
 from .monomials import class_size, divides
@@ -30,12 +30,11 @@ class ExtremalProfile:
     triples: tuple
 
     def __post_init__(self):
-        triples = tuple((int(i), int(j), int(b)) for i, j, b in self.triples)
+        triples = tuple(_checked_ints("corner", t, 3) for t in self.triples)
         object.__setattr__(self, "triples", triples)
         if not triples:
             raise DomainError("empty profile")
-        if self.n < 2:
-            raise DomainError("profiles need at least two variables")
+        _checked_int("n", self.n, 2)
         iis = [i for i, _, _ in triples]
         jjs = [j for _, j, _ in triples]
         bbs = [b for _, _, b in triples]
@@ -73,8 +72,7 @@ def witness_count_vector(profile: ExtremalProfile, p: int) -> tuple:
     """For 2 <= p <= k: the count vector, truncated to the first
     i_{p-1} + 1 entries, of the smallest strongly stable ideal whose
     top class i_p + 1 carries b_p generators in degree j_p."""
-    if not 2 <= p <= profile.k:
-        raise DomainError("p out of range 2..k")
+    _checked_int("p", p, 2, profile.k)
     i_p, _, b_p = profile.triples[p - 1]
     return _shifted_counts(b_p, i_p, profile.triples[p - 2][0] + 1)
 

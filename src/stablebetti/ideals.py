@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import islice
 
-from .errors import DomainError, NotStableError, UnitIdealError
+from .errors import DomainError, NotStableError, UnitIdealError, _checked_int, _checked_ints
 from .monomials import (
     deglex_key,
     divides,
@@ -21,29 +21,20 @@ from .monomials import (
     mul,
     swap_variable,
 )
-from .macaulay import binom, cumsum
+from .macaulay import cumsum
 
 
 def _checked_generators(n, gens) -> tuple:
     """The distinct generators as tuples, deglex descending; refuses
     n < 1, an empty set, and a generator that is not n nonnegative
     integers or is the monomial 1."""
-    gens = tuple(sorted({tuple(g) for g in gens}, key=deglex_key, reverse=True))
-    if n < 1:
-        raise DomainError("need at least one variable")
+    _checked_int("n", n, 1)
+    gens = {_checked_ints("generator", g, n) for g in gens}
     if not gens:
         raise DomainError("empty generating set: the zero ideal is not constructible here")
-    for g in gens:
-        if len(g) != n:
-            raise DomainError(f"generator {g} has {len(g)} exponents, not {n}")
-        for e in g:
-            if not isinstance(e, int):
-                raise DomainError(f"generator {g} has a non-integer exponent {e!r}")
-            if e < 0:
-                raise DomainError(f"generator {g} has a negative exponent")
-        if not any(g):
-            raise UnitIdealError("the monomial 1 generates the unit ideal")
-    return gens
+    if (0,) * n in gens:
+        raise UnitIdealError("the monomial 1 generates the unit ideal")
+    return tuple(sorted(gens, key=deglex_key, reverse=True))
 
 
 class MonomialIdeal:
@@ -102,16 +93,12 @@ def minimalize(n, raw) -> MonomialIdeal:
 
 def graded_component(I: MonomialIdeal, d: int) -> list:
     """All degree-d monomials of I, deglex descending."""
-    if d < 0:
-        raise DomainError("degree must be nonnegative")
     return [u for u in enumerate_degree(I.n, d) if I.contains(u)]
 
 
 def times_maximal(I: MonomialIdeal, q: int) -> MonomialIdeal:
     """Multiply by the q-th power of the maximal ideal (x_1, ..., x_n)."""
-    if q < 0:
-        raise DomainError("q must be nonnegative")
-    if q == 0:
+    if _checked_int("q", q) == 0:
         return I
     shifts = enumerate_degree(I.n, q)
     return minimalize(I.n, [mul(g, s) for g in I.gens for s in shifts])
@@ -167,8 +154,7 @@ def is_piecewise_lex_up_to(I: MonomialIdeal, ell: int) -> bool:
     """For an ideal generated in one degree d: within every max-index
     class i <= ell, the generators are the biggest count-many degree-d
     monomials of that class."""
-    if not 1 <= ell <= I.n:
-        raise DomainError("ell out of range")
+    _checked_int("ell", ell, 1, I.n)
     degs = {sum(g) for g in I.gens}
     if len(degs) != 1:
         raise DomainError("ideal must be generated in a single degree")
@@ -219,18 +205,11 @@ class GeneratorMatrix:
     rows: tuple
 
     def __post_init__(self):
-        if self.n < 1:
-            raise DomainError("need at least one variable")
-        if self.jmin < 1 and self.rows:
-            raise DomainError("jmin must be positive")
+        _checked_int("n", self.n, 1)
+        if self.rows:
+            _checked_int("jmin", self.jmin, 1)
         for row in self.rows:
-            if len(row) != self.n:
-                raise DomainError(f"row {row} has {len(row)} entries, not {self.n}")
-            for x in row:
-                if not isinstance(x, int):
-                    raise DomainError(f"row {row} has a non-integer entry {x!r}")
-                if x < 0:
-                    raise DomainError(f"row {row} has a negative entry")
+            _checked_ints("row", row, self.n)
 
     @property
     def jmax(self):
@@ -311,12 +290,9 @@ def matrix_to_counts(M: GeneratorMatrix) -> dict:
 def counts_to_matrix(counts: dict, n: int) -> GeneratorMatrix:
     """Inverse of matrix_to_counts, built degree by degree."""
     for (i, j), c in counts.items():
-        if not 1 <= i <= n:
-            raise DomainError("max-index key out of range")
-        if j < 1:
-            raise DomainError("degree key must be positive")
-        if c < 0:
-            raise DomainError("counts must be nonnegative")
+        _checked_int("max index i", i, 1, n)
+        _checked_int("degree j", j, 1)
+        _checked_int("count", c)
     if not counts or all(c == 0 for c in counts.values()):
         return GeneratorMatrix(n, 1, ())
     degs = [j for (_, j), c in counts.items() if c]
@@ -332,6 +308,4 @@ def counts_to_matrix(counts: dict, n: int) -> GeneratorMatrix:
 def hilbert_function(I: MonomialIdeal, d: int) -> int:
     """Number of degree-d monomials outside I (the Hilbert function of
     the quotient)."""
-    if d < 0:
-        raise DomainError("degree must be nonnegative")
-    return binom(I.n + d - 1, d) - len(graded_component(I, d))
+    return sum(not I.contains(u) for u in enumerate_degree(I.n, d))

@@ -13,7 +13,7 @@ from functools import lru_cache
 from itertools import accumulate
 from math import comb
 
-from .errors import DomainError
+from .errors import DomainError, _checked_int, _checked_ints
 
 
 def binom(p: int, q: int) -> int:
@@ -62,13 +62,12 @@ def greedy_arg(rem, i):
     return lo
 
 
-@lru_cache(maxsize=65536)
+# typed: 5.0 == 5, so an untyped cache would answer a float from the entry of an int
+@lru_cache(maxsize=65536, typed=True)
 def macaulay_rep(a: int, d: int) -> MacaulayRep:
     """The unique d-th Macaulay representation of a (greedy-maximal)."""
-    if d < 1:
-        raise DomainError("representation index d must be positive")
-    if a < 0:
-        raise DomainError("cannot represent a negative integer")
+    _checked_int("d", d, 1)
+    _checked_int("a", a)
     # the remainder after term i stays below binom(k(i), i - 1), so each
     # greedy k(i - 1) is smaller than k(i) and the ks fall strictly
     ks = []
@@ -99,10 +98,8 @@ def min_shift_preimage(k: int, i: int, ell: int) -> int:
     binary search on [1, k] suffices (a = k always satisfies the bound
     because ell - i >= 1 shifts upward).
     """
-    if not 2 <= i < ell:
-        raise DomainError("need 2 <= i < ell")
-    if k < 1:
-        raise DomainError("k must be positive")
+    _checked_int("i", i, 2, _checked_int("ell", ell, 3) - 1)
+    _checked_int("k", k, 1)
     lo, hi = 1, k
     while lo < hi:
         mid = (lo + hi) // 2
@@ -120,11 +117,7 @@ def is_o_sequence(m) -> bool:
     Hilbert function, the same test is h_0 = 1 and h_{d+1} <= h_d^<d>
     for d >= 1.
     """
-    m = tuple(m)
-    if not m:
-        raise DomainError("empty vector")
-    if any(x < 0 for x in m):
-        raise DomainError("entries must be nonnegative")
+    m = _checked_ints("m", m)
     if m[0] != 1:
         return False
     for t in range(2, len(m)):
@@ -148,8 +141,7 @@ def iterated_cumsum_last(v, q: int) -> int:
     one degree this equals the count of top-index generators after
     multiplying q times by the maximal ideal.
     """
-    if q < 0:
-        raise DomainError("q must be nonnegative")
+    _checked_int("q", q)
     w = tuple(v)
     if not w:
         raise DomainError("empty vector")

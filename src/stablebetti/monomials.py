@@ -3,11 +3,8 @@ order with x_1 > x_2 > ... > x_n."""
 
 from __future__ import annotations
 
-from .errors import DomainError
+from .errors import _checked_int
 from .macaulay import binom
-
-# A monomial in n variables is a tuple of n nonnegative exponents.
-Monomial = tuple
 
 # Guard against accidental enumeration blowups; this is a desk-scale tool.
 DEGREE_CAP = 64
@@ -63,12 +60,8 @@ def iter_degree(n: int, d: int):
 
 def enumerate_degree(n: int, d: int) -> list:
     """All binom(n+d-1, d) monomials of degree d, deglex descending."""
-    if n < 1:
-        raise DomainError("need at least one variable")
-    if d < 0:
-        raise DomainError("degree must be nonnegative")
-    if d > DEGREE_CAP:
-        raise DomainError(f"degree {d} exceeds the enumeration cap {DEGREE_CAP}")
+    _checked_int("n", n, 1)
+    _checked_int("d", d, 0, DEGREE_CAP)
     return list(iter_degree(n, d))
 
 
@@ -83,9 +76,7 @@ def monomials_with_max_index(ell: int, d: int, n: int):
     These are x_ell times the degree-(d-1) monomials in the first ell
     variables, and that bijection preserves the order.
     """
-    if not 1 <= ell <= n:
-        raise DomainError("max index out of range")
-    if d < 1:
-        raise DomainError("degree must be positive")
+    _checked_int("ell", ell, 1, _checked_int("n", n, 1))
+    _checked_int("d", d, 1)
     pad = (0,) * (n - ell)
     return (v[:-1] + (v[-1] + 1,) + pad for v in iter_degree(ell, d - 1))

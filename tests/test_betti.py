@@ -55,6 +55,15 @@ def test_ek_demands_stability():
     assert "oracle" in str(err.value)
 
 
+def test_counts_from_betti_is_exact():
+    # past 2**53, where a float sum drops the low digits
+    T = BettiTable(3, {(0, 3): 10**17 + 1, (1, 4): 10**17 + 3})
+    counts = counts_from_betti(T)
+    assert counts == {(1, 3): -2, (2, 3): 10**17 + 3}
+    assert all(type(c) is int for c in counts.values())
+    assert betti_from_counts(counts, 3) == T
+
+
 def test_counts_from_betti_example():
     counts = counts_from_betti(EX_TABLE)
     assert counts == {(1, 4): 1, (2, 4): 4, (3, 4): 1, (3, 5): 3}

@@ -167,8 +167,8 @@ def test_lexsegment_ideal_examples():
     with pytest.raises(sb.DomainError):
         lexsegment_ideal(2, 2, 4)
     # n and d are checked before mu, for the ideal and its count vector
-    for n, d, message in ((0, 2, "need at least one variable"), (2, 0, "degree must be positive"),
-                          (2, -1, "degree must be positive")):
+    for n, d, message in ((0, 2, "n must be an integer >= 1, got 0"), (2, 0, "d must be an integer >= 1, got 0"),
+                          (2, -1, "d must be an integer >= 1, got -1")):
         for build in (lexsegment_ideal, lexsegment_count_vector):
             with pytest.raises(sb.DomainError, match=message):
                 build(n, d, 1)

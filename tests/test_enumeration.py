@@ -222,7 +222,7 @@ def test_walk_bounds_must_be_positive():
             lambda: next(enumerate_strongly_stable(n, dmax)),
             lambda: random_strongly_stable(n, dmax, rng),
         ):
-            with pytest.raises(sb.DomainError, match="need n >= 1 and dmax >= 1"):
+            with pytest.raises(sb.DomainError, match=r"^(n|dmax) must be an integer >= 1, got 0$"):
                 run()
 
 
@@ -294,7 +294,7 @@ def test_count_keeps_the_caps_of_the_bound_as_given():
     # of these would fail on degree 65
     assert count_strongly_stable(65, 1, budget=65) == 65
     assert count_strongly_stable(65, 2, budget=2**70) == 2**66 - 2
-    with pytest.raises(sb.DomainError, match="degree 65 exceeds"):
+    with pytest.raises(sb.DomainError, match=r"d must be an integer in 0\.\.64, got 65"):
         count_strongly_stable(2, 65, budget=2**70)
     # the default caps read n and dmax as given
     with pytest.raises(sb.BudgetExceededError) as err:

@@ -101,7 +101,7 @@ def test_cli_betti_and_matrix(tmp_path, capsys):
 
     for text, message in (
         ("n=x\n1 0\n", "bad variable count"),
-        ("n=2\n1 -1\n", "negative exponent"),
+        ("n=2\n1 -1\n", "negative entry"),
     ):
         path.write_text(text)
         code, _, err = run_cli(capsys, "betti", str(path))
@@ -115,7 +115,7 @@ def test_cli_names_the_offending_generator_or_row(tmp_path, capsys):
     path = tmp_path / "ideal.txt"
     path.write_text("n=2\n1 0\n1 0 5\n")
     code, _, err = run_cli(capsys, "betti", str(path))
-    assert code == 2 and "generator (1, 0, 5) has 3 exponents, not 2" in err
+    assert code == 2 and "generator (1, 0, 5) has 3 entries, not 2" in err
     path.write_text("n=2 jmin=1\n1 0\n1 2 3\n")
     code, _, err = run_cli(capsys, "check-matrix", str(path))
     assert code == 2 and "row (1, 2, 3) has 3 entries, not 2" in err
@@ -149,7 +149,7 @@ def test_cli_check_and_realize(tmp_path, capsys):
         ("n=a jmin=1\n1\n", "bad matrix header"),
         ("n=2 jmin=1\n1 x\n", "bad matrix row"),
         ("n=2 jmin=1\n1 -1\n", "negative entry"),
-        ("n=2 jmin=0\n1 0\n", "jmin must be positive"),
+        ("n=2 jmin=0\n1 0\n", "jmin must be an integer >= 1, got 0"),
     ):
         malformed.write_text(text)
         code, _, err = run_cli(capsys, "check-matrix", str(malformed))
@@ -192,7 +192,7 @@ def test_cli_construct(capsys):
     code, _, err = run_cli(capsys, "construct", "lexsegment", "--n", "3", "--d", "2", "--mu", "9")
     assert code == 2 and "input error" in err
     code, _, err = run_cli(capsys, "construct", "lexsegment", "--n", "0", "--d", "2", "--mu", "1")
-    assert code == 2 and "need at least one variable" in err
+    assert code == 2 and "n must be an integer >= 1, got 0" in err
 
 
 def test_cli_construct_lists_only_what_it_prints(capsys):
@@ -285,6 +285,24 @@ def test_cli_construct_confirmation(capsys):
     plain = run_cli(capsys, *argv)
     assert plain[0] == 0
     assert run_cli(capsys, *argv, "--confirm") == plain
+
+
+def test_cli_construct_checks_the_profile_once(monkeypatch, capsys):
+    calls = []
+    real = sb.extremal.check_profile
+
+    def counted(profile):
+        calls.append(profile)
+        return real(profile)
+
+    monkeypatch.setattr(sb.extremal, "check_profile", counted)
+    monkeypatch.setattr(sb.cli, "check_profile", counted)
+    for profile, code in (("2,4,1;3,2,1", 0), ("2,4,2;3,2,2", 1)):
+        for confirm in ((), ("--confirm",)):
+            calls.clear()
+            argv = ["extremal", "construct", "--profile", profile, "--n", "4", *confirm]
+            assert run_cli(capsys, *argv)[0] == code
+            assert len(calls) == 1, argv
 
 
 def test_cli_enumerate_and_search(tmp_path, capsys):

@@ -49,12 +49,12 @@ def test_minimalize_checks_every_generator_first():
     # the wrong-length generator is refused in either order, though
     # (1, 0) divides it
     for raw in ([(1, 0), (1, 0, 5)], [(1, 0, 5), (1, 0)]):
-        with pytest.raises(sb.DomainError, match=r"generator \(1, 0, 5\) has 3 exponents, not 2"):
+        with pytest.raises(sb.DomainError, match=r"generator \(1, 0, 5\) has 3 entries, not 2"):
             sb.minimalize(2, raw)
 
 
 def test_non_integer_values_refused():
-    with pytest.raises(sb.DomainError, match=r"generator \(0\.5, 0\) has a non-integer exponent"):
+    with pytest.raises(sb.DomainError, match=r"generator \(0\.5, 0\) has a non-integer entry"):
         MonomialIdeal(2, [(0.5, 0), (0, 1)])
     with pytest.raises(sb.DomainError, match="non-integer"):
         sb.minimalize(2, [(2, 0), (1, 1.0)])
