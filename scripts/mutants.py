@@ -44,6 +44,7 @@ class Mutant(NamedTuple):
 ERRORS = "src/stablebetti/errors.py"
 IDEALS = "src/stablebetti/ideals.py"
 ENUMERATION = "src/stablebetti/enumeration.py"
+MACAULAY = "src/stablebetti/macaulay.py"
 
 MUTANTS = (
     # the generating-set checks, each owned by ideals
@@ -81,16 +82,44 @@ MUTANTS = (
     Mutant(
         "non-integer-entry-accepted",
         ERRORS,
-        "        if not isinstance(x, int):\n",
+        "        if type(x) is not int:\n",
         "        if False:\n",
         ("tests/test_ideals.py::test_non_integer_values_refused",),
     ),
     Mutant(
         "non-integer-argument-accepted",
         ERRORS,
-        "    if isinstance(x, int) and (lo is None",
+        "    if type(x) is int and (lo is None",
         "    if (lo is None",
         ("tests/test_integer_rule.py::test_macaulay_cache_does_not_answer_a_float",),
+    ),
+    Mutant(
+        "bool-argument-accepted",
+        ERRORS,
+        "    if type(x) is int and (lo is None",
+        "    if isinstance(x, int) and (lo is None",
+        ("tests/test_integer_rule.py::test_bool_is_not_an_integer",),
+    ),
+    Mutant(
+        "bool-entry-accepted",
+        ERRORS,
+        "        if type(x) is not int:\n",
+        "        if not isinstance(x, int):\n",
+        ("tests/test_integer_rule.py::test_bool_is_not_an_integer",),
+    ),
+    Mutant(
+        "shift-index-unchecked",
+        MACAULAY,
+        '    _checked_int("j", j, None)\n',
+        "",
+        ("tests/test_integer_rule.py::test_integer_rule_at_every_site",),
+    ),
+    Mutant(
+        "cumsum-entries-unchecked",
+        MACAULAY,
+        '    w = tuple(_checked_int("vector entry", x, None) for x in v)\n',
+        "    w = tuple(v)\n",
+        ("tests/test_integer_rule.py::test_integer_rule_at_every_site",),
     ),
     Mutant(
         "betti-table-truncates",
@@ -120,6 +149,14 @@ MUTANTS = (
         "        try:\n            ideal = nested_lex_ideal(profile)\n",
         "        try:\n            check_profile(profile)\n            ideal = nested_lex_ideal(profile)\n",
         ("tests/test_formats_cli.py::test_cli_construct_checks_the_profile_once",),
+    ),
+    Mutant(
+        "verify-checks-the-profile-twice",
+        "src/stablebetti/verify.py",
+        "        try:\n            ideal = nested_lex_ideal(profile)\n",
+        "        if not check_profile(profile).ok:\n            continue\n"
+        "        try:\n            ideal = nested_lex_ideal(profile)\n",
+        ("tests/test_verify_fixtures.py::test_each_profile_is_checked_once",),
     ),
     Mutant(
         "matrix-header-key-repeats",
@@ -208,36 +245,48 @@ MUTANTS = (
         "    if j1 > DEFAULT_ENUM_DMAX:\n",
         ("tests/test_formats_cli.py::test_cli_extremal_confirmation",),
     ),
-    # the bucketed enumeration order
+    # the streamed enumeration order
     Mutant(
-        "bucket-sort-dropped",
+        "end-of-list-after-the-children",
         ENUMERATION,
-        "        bucket.sort(key=lambda gens: tuple(map(deglex_key, gens)))\n",
-        "",
+        "                if last >= 0:\n                    yield MonomialIdeal(n, new)\n",
+        # a marker below the children yields the set once they are done
+        "                if last >= size:\n                    yield MonomialIdeal(n, new)\n                    continue\n"
+        "                if last >= 0:\n                    stack.append((cur, size, new))\n",
         (
             "tests/test_enumeration.py::test_bucketed_order_is_the_full_sort",
             "tests/test_enumeration.py::test_enumeration_order_pinned",
         ),
     ),
     Mutant(
-        "buckets-walked-top-down",
+        "lower-parts-sorted-without-terminator",
         ENUMERATION,
-        "    for d in range(1, dmax + 1):\n        chains = _chains(layers[:d], [None] * d)\n",
-        "    for d in range(dmax, 0, -1):\n        chains = _chains(layers[:d], [None] * d)\n",
-        ("tests/test_enumeration.py::test_first_ideal_comes_promptly",),
+        " for g in part[0]] + [(d,)])\n",
+        " for g in part[0]])\n",
+        (
+            "tests/test_enumeration.py::test_bucketed_order_is_the_full_sort",
+            "tests/test_enumeration.py::test_enumeration_order_pinned",
+        ),
     ),
     Mutant(
-        "bucket-keeps-every-nonempty-chain",
+        "extensions-tried-first-position-first",
         ENUMERATION,
-        "for masks in chains if masks[-1]]",
-        "for masks in chains if any(masks)]",
+        "                for q in range(last + 1, size):\n",
+        "                for q in range(size - 1, last, -1):\n",
+        ("tests/test_enumeration.py::test_bucketed_order_is_the_full_sort",),
+    ),
+    Mutant(
+        "lower-part-yielded-again",
+        ENUMERATION,
+        "                if last >= 0:\n",
+        "                if True:\n",
         ("tests/test_enumeration.py::test_bucketed_order_is_the_full_sort",),
     ),
     Mutant(
         "enumeration-count-dropped",
         ENUMERATION,
-        "    _count(_count_layers(n, dmax), cap, message)\n    layers = _walk_layers(n, dmax)\n",
-        "    layers = _walk_layers(n, dmax)\n",
+        "    _count(_count_layers(n, dmax), cap, message)\n",
+        "",
         ("tests/test_enumeration.py::test_first_ideal_comes_promptly",),
     ),
 )

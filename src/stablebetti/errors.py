@@ -22,8 +22,9 @@ def _checked_int(name, x, lo=0, hi=None) -> int:
     """x, when it is an integer in lo..hi (no bound where lo or hi is
     None); otherwise a DomainError naming the argument and its bound.
     The library's count, degree and index arguments pass here, so a
-    float is refused rather than truncated or walked forever."""
-    if isinstance(x, int) and (lo is None or lo <= x) and (hi is None or x <= hi):
+    float is refused rather than truncated or walked forever, and so is
+    a bool, which would print as True."""
+    if type(x) is int and (lo is None or lo <= x) and (hi is None or x <= hi):
         return x
     bound = "" if lo is None else f" >= {lo}" if hi is None else f" in {lo}..{hi}"
     raise DomainError(f"{name} must be an integer{bound}, got {x!r}")
@@ -39,7 +40,7 @@ def _checked_ints(name, v, length=None) -> tuple:
     if not v:
         raise DomainError(f"{name} is empty")
     for x in v:
-        if not isinstance(x, int):
+        if type(x) is not int:
             raise DomainError(f"{name} {v} has a non-integer entry {x!r}")
         if x < 0:
             raise DomainError(f"{name} {v} has a negative entry {x}")

@@ -88,6 +88,7 @@ def macaulay_shift(a: int, d: int, j: int) -> int:
     allowed (terms vanish once an argument turns negative).
     """
     rep = macaulay_rep(a, d)
+    _checked_int("j", j, None)
     return sum(binom(k + j, i + j) for k, i in rep.terms())
 
 
@@ -142,7 +143,7 @@ def iterated_cumsum_last(v, q: int) -> int:
     multiplying q times by the maximal ideal.
     """
     _checked_int("q", q)
-    w = tuple(v)
+    w = tuple(_checked_int("vector entry", x, None) for x in v)
     if not w:
         raise DomainError("empty vector")
     for _ in range(q):

@@ -21,7 +21,7 @@ from .constructions import (
     subring_lexsegment_ideal,
 )
 from .enumeration import search_extremal_profile, search_matrix
-from .errors import DEFAULT_BUDGET, BudgetExceededError
+from .errors import DEFAULT_BUDGET, BudgetExceededError, InfeasibleProfileError
 from .extremal import (
     ExtremalProfile,
     check_profile,
@@ -156,14 +156,16 @@ def _run_extremal_branch(fx, budget, context):
     admissible = []
     for b in range(1, fx["bound"] + 1):
         profile = ExtremalProfile(n, ((i1, j1, b), (i2, j2, a)))
-        verdict = check_profile(profile)
-        if verdict.ok:
-            admissible.append(b)
+        # nested_lex_ideal checks the profile, and refuses an inadmissible one
+        try:
             ideal = nested_lex_ideal(profile)
-            if not is_strongly_stable(ideal):
-                return "fail", f"witness for b={b} is not strongly stable"
-            if not verify_profile(ideal, profile):
-                return "fail", f"witness for b={b} has the wrong corners"
+        except InfeasibleProfileError:
+            continue
+        admissible.append(b)
+        if not is_strongly_stable(ideal):
+            return "fail", f"witness for b={b} is not strongly stable"
+        if not verify_profile(ideal, profile):
+            return "fail", f"witness for b={b} has the wrong corners"
     if admissible != fx["admissible_b"]:
         return "fail", f"admissible values {admissible}, expected {fx['admissible_b']}"
     detail = f"forced count {forced} (two routes agree); admissible values {admissible}"

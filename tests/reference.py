@@ -8,7 +8,7 @@ the restriction to a leading subring, the k-th biggest monomial of a
 max-index class by unranking (against enumeration), the conjugation
 that sends the strongly stable ideals of one bound onto those of the
 transposed bound (against counting), and the canonical order of
-enumeration as one sort of a whole bound (against its bucketed sort).
+enumeration as one sort of a whole bound (against its streamed walk).
 """
 
 from dataclasses import dataclass

@@ -31,6 +31,8 @@ SITES = (
     ("min_shift_preimage(3, 2, x)", "ell", 3.5, 2),
     ("is_o_sequence(x)", "m", (1, 2.5, 3), (1, -1)),
     ("iterated_cumsum_last((1, 2), x)", "q", 1.5, -1),
+    ("iterated_cumsum_last((1, x), 1)", "vector entry", 0.5, None),
+    ("macaulay_shift(5, 2, x)", "j", 1.5, None),
     ("MonomialIdeal(x, [(1, 0)])", "n", 2.0, 0),
     ("MonomialIdeal(2, [x])", "generator", (0.5, 1), (-1, 1)),
     ("minimalize(2, [(1, 0), x])", "generator", (1, 1.0), (1, 0, 5)),
@@ -123,6 +125,18 @@ def _message(call, value):
 def test_integer_rule_at_every_site(call, name, value):
     # the message opens with the argument's name
     message = _message(call, value)
+    assert message is not None and message.startswith(name + " "), message
+
+
+@pytest.mark.parametrize("call, name", [
+    ("BettiTable(2, {(0, 1): x})", "Betti number"),
+    ("macaulay_rep(x, 1)", "a"),
+    ("MonomialIdeal(1, [(x,)])", "generator"),
+    ("is_o_sequence((1, x))", "m"),
+])
+def test_bool_is_not_an_integer(call, name):
+    # True is an int to isinstance; stored, it would print as True
+    message = _message(call, True)
     assert message is not None and message.startswith(name + " "), message
 
 

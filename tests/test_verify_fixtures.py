@@ -60,3 +60,23 @@ def test_recorded_search_depth_is_checked(monkeypatch):
     results = {r.name: r for r in verify_mod.run_fixtures()}
     assert results[fx["name"]].status == "fail"
     assert "not the top corner degree" in results[fx["name"]].detail
+
+
+def test_each_profile_is_checked_once(monkeypatch):
+    # nested_lex_ideal checks the profile and refuses an inadmissible one,
+    # so the extremal branch takes its verdict from there: 21 checks, 5
+    # fewer than when the branch called check_profile first
+    import stablebetti.verify as verify_mod
+
+    calls = []
+    real = sb.extremal.check_profile
+
+    def counted(profile):
+        calls.append(profile)
+        return real(profile)
+
+    monkeypatch.setattr(sb.extremal, "check_profile", counted)
+    monkeypatch.setattr(verify_mod, "check_profile", counted)
+    results = verify_mod.run_fixtures()
+    assert [r.status for r in results] == ["pass"] * len(results)
+    assert len(calls) == 21
