@@ -249,11 +249,14 @@ MUTANTS = (
     Mutant(
         "end-of-list-after-the-children",
         ENUMERATION,
-        "                if last >= 0:\n                    yield MonomialIdeal(n, new)\n",
-        # a marker below the children yields the set once they are done
-        "                if last >= size:\n                    yield MonomialIdeal(n, new)\n                    continue\n"
-        "                if last >= 0:\n                    stack.append((cur, size, new))\n",
+        "                if parents[t] & ~cur == 0:\n"
+        "                    stack.append((k, cur | 1 << t))\n                continue\n",
+        # inclusion first: the exclude branch waits on the stack, so a set
+        # comes after the sets that extend it
+        "                if parents[t] & ~cur == 0:\n"
+        "                    stack.append((k, cur))\n                    cur |= 1 << t\n                continue\n",
         (
+            "tests/test_enumeration.py::test_filters_match_brute_force",
             "tests/test_enumeration.py::test_bucketed_order_is_the_full_sort",
             "tests/test_enumeration.py::test_enumeration_order_pinned",
         ),
@@ -271,14 +274,18 @@ MUTANTS = (
     Mutant(
         "extensions-tried-first-position-first",
         ENUMERATION,
-        "                for q in range(last + 1, size):\n",
-        "                for q in range(size - 1, last, -1):\n",
-        ("tests/test_enumeration.py::test_bucketed_order_is_the_full_sort",),
+        "        k, cur = stack.pop()\n",
+        # the same sets, the include branch of the first position first
+        "        k, cur = stack.pop(0)\n",
+        (
+            "tests/test_enumeration.py::test_filters_match_brute_force",
+            "tests/test_enumeration.py::test_bucketed_order_is_the_full_sort",
+        ),
     ),
     Mutant(
         "lower-part-yielded-again",
         ENUMERATION,
-        "                if last >= 0:\n",
+        "                if cur != base:\n",
         "                if True:\n",
         ("tests/test_enumeration.py::test_bucketed_order_is_the_full_sort",),
     ),

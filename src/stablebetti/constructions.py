@@ -157,7 +157,7 @@ def is_lexsegment_count_vector(m, d: int) -> bool:
     """Whether some lexsegment ideal generated in degree d has count
     vector m."""
     m = _checked_ints("m", m)
-    _checked_int("d", d, None)
+    _checked_int("d", d, 1)
     mu = sum(m)
     if mu == 0 or mu > binom(len(m) + d - 1, d):
         return False

@@ -33,14 +33,14 @@ orientation whose top layer, binom(n + dmax - 1, dmax), is the smaller.
 Enumeration counts first, then lists its ideals by maximal generator
 degree d = 1..dmax.  An ideal of bucket d is a lower part, the ideal of
 its generators below degree d (or nothing), plus a nonempty set of
-degree-d generators.  The bucket walks its lower parts in the order of
-their generator lists, and from each one walks the exchange-closed
-supersets of the part's shadow depth first, a set before the sets that
-extend it, so it yields in the canonical order without holding or
-sorting its ideals.  The lower parts of bucket d + 1 are those of
-bucket d and the ideals it yielded, each with its degree-d set, so no
-chain is walked twice and a pass holds at most the ideals below the top
-degree.
+degree-d generators.  The bucket takes its lower parts in the order of
+their generator lists, and from each one lists the exchange-closed
+supersets of the part's shadow with the searches' walk, unpinned, whose
+order is the canonical one (see _filters), so it yields in the canonical
+order without holding or sorting its ideals.  The lower parts of bucket
+d + 1 are those of bucket d and the ideals it yielded, each with its
+degree-d set, so no chain is walked twice and a pass holds at most the
+ideals below the top degree.
 
 Searches prune with per-degree, per-class counts of new generators (the
 elements of B_d outside the shadow).  A generator-matrix target pins
@@ -139,7 +139,10 @@ def _filters(layer: _Layer, base: int, spec):
     """Yield every exchange-closed superset of base whose new elements
     (those outside base) match spec in each class (entries: exact int or
     None for free; a negative entry admits no set), depth first with
-    exclusion before inclusion."""
+    exclusion before inclusion: the canonical order of the new elements
+    read as lists in descending deglex.  Of two sets, the one lacking the
+    first position where they differ comes first, and its list either ends
+    there (a prefix) or goes on with a later position, a smaller monomial."""
     cls = layer.cls
     parents = layer.parents
     if spec is None:
@@ -240,13 +243,13 @@ def _walk_caps(n, dmax, budget):
             "pass an explicit budget to enumerate further",
             partial_count=0,
         )
-    cap = budget if budget is not None else DEFAULT_BUDGET
+    cap = DEFAULT_BUDGET if budget is None else _checked_int("budget", budget)
     message = f"enumeration exceeded the budget of {cap} ideals"
     # each monomial u of degree 1..dmax generates its own ideal (the Borel
     # closure of u has u as its one Borel-minimal generator), so a cap
     # below their number fails here as _count would fail on it later
     if binom(n + dmax, dmax) - 1 > cap:
-        raise BudgetExceededError(message, partial_count=max(cap, 0))
+        raise BudgetExceededError(message, partial_count=cap)
     return cap, message
 
 
@@ -281,28 +284,20 @@ def enumerate_strongly_stable(n, dmax, budget=None):
     # (generators, set in the degree below) of each lower part
     parts = [((), 0)]
     for d, layer in enumerate(_walk_layers(n, dmax), 1):
-        mons, parents = layer.mons, layer.parents
-        size = len(mons)
-        full = (1 << size) - 1
+        full = (1 << len(layer.mons)) - 1
         # a part's list goes on with a degree-d generator, which ranks
         # above every generator of the part, so its end is ranked so too
         parts.sort(key=lambda part: [(sum(g), g) for g in part[0]] + [(d,)])
         lower, parts = parts, []
         for gens, below in lower:
-            # depth first from the part's shadow: a set comes before the
-            # sets that extend it, and an extension adds a later position,
-            # the last position first (the smallest generator ranks lowest)
-            stack = [(_shadow(layer, below), -1, gens)]
-            while stack:
-                cur, last, new = stack.pop()
-                if last >= 0:
+            base = _shadow(layer, below)
+            for cur in _filters(layer, base, None):
+                new = gens + tuple(_generators((layer,), (cur & ~base,)))
+                if cur != base:
                     yield MonomialIdeal(n, new)
                 # a set holding the whole layer leaves nothing to add above
                 if d < dmax and cur != full:
                     parts.append((new, cur))
-                for q in range(last + 1, size):
-                    if not cur >> q & 1 and parents[q] & ~cur == 0:
-                        stack.append((cur | 1 << q, q, new + (mons[q],)))
 
 
 def count_strongly_stable(n, dmax, budget=None) -> int:

@@ -13,7 +13,7 @@ from __future__ import annotations
 from itertools import combinations, product
 
 from .betti import BettiTable
-from .errors import DEFAULT_BUDGET, BudgetExceededError
+from .errors import DEFAULT_BUDGET, BudgetExceededError, _checked_int
 from .ideals import MonomialIdeal
 
 
@@ -117,6 +117,7 @@ def oracle_betti(I: MonomialIdeal, budget: int = DEFAULT_BUDGET) -> BettiTable:
     Scans the multidegrees dividing the lcm of the generators; raises
     BudgetExceededError when there are more than `budget` of them.
     """
+    _checked_int("budget", budget)
     lcm_exp = [0] * I.n
     for g in I.gens:
         for t, e in enumerate(g):

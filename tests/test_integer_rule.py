@@ -62,12 +62,15 @@ SITES = (
     ("lexsegment_count_vector(2, x, 1)", "d", 1.5, 0),
     ("lexsegment_count_vector(2, 2, x)", "mu", 1.5, 4),
     ("is_lexsegment_count_vector(x, 2)", "m", (1, 0.5), (1, -1)),
-    ("is_lexsegment_count_vector((1, 1), x)", "d", 1.5, None),
+    ("is_lexsegment_count_vector((1, 1), x)", "d", 1.5, 0),
     ("ExtremalProfile(x, ((1, 2, 1),))", "n", 4.0, 1),
     ("ExtremalProfile(4, (x,))", "corner", (1.5, 3, 2), (1, 2)),
     ("witness_count_vector(P, x)", "p", 1.5, 3),
     ("count_strongly_stable(x, 2)", "n", 1.5, 0),
     ("count_strongly_stable(2, x)", "dmax", 1.5, 0),
+    ("count_strongly_stable(2, 2, budget=x)", "budget", 10**6 + 0.5, -1),
+    ("list(enumerate_strongly_stable(2, 2, budget=x))", "budget", 2.5, -1),
+    ("oracle_betti(I, budget=x)", "budget", 2.5, -1),
     ("random_strongly_stable(x, 2, Random(0))", "n", 1.5, 0),
     ("random_strongly_stable(2, x, Random(0))", "dmax", 1.5, 0),
 )
@@ -133,6 +136,7 @@ def test_integer_rule_at_every_site(call, name, value):
     ("macaulay_rep(x, 1)", "a"),
     ("MonomialIdeal(1, [(x,)])", "generator"),
     ("is_o_sequence((1, x))", "m"),
+    ("count_strongly_stable(2, 2, budget=x)", "budget"),
 ])
 def test_bool_is_not_an_integer(call, name):
     # True is an int to isinstance; stored, it would print as True

@@ -94,6 +94,9 @@ def test_oracle_budget():
     I = MonomialIdeal(3, [(3, 0, 0), (0, 3, 0), (0, 0, 3)])
     with pytest.raises(sb.BudgetExceededError):
         oracle_betti(I, budget=10)
+    # a budget follows the integer rule: None is no default here
+    with pytest.raises(sb.DomainError, match=r"^budget must be an integer >= 0, got None$"):
+        oracle_betti(I, budget=None)
 
 
 def test_oracle_matches_formula_small_corpus(corpus_n3):
