@@ -137,13 +137,6 @@ MUTANTS = (
         ("tests/test_integer_rule.py::test_integer_rule_at_every_site",),
     ),
     Mutant(
-        "counts-from-betti-sums-from-zero",
-        "src/stablebetti/betti.py",
-        "            for k in range(i - 1, T.n + 1):\n",
-        "            for k in range(0, T.n + 1):\n",
-        ("tests/test_betti.py::test_counts_from_betti_is_exact",),
-    ),
-    Mutant(
         "construct-checks-the-profile-twice",
         "src/stablebetti/cli.py",
         "        try:\n            ideal = nested_lex_ideal(profile)\n",
@@ -295,6 +288,14 @@ MUTANTS = (
         "    _count(_count_layers(n, dmax), cap, message)\n",
         "",
         ("tests/test_enumeration.py::test_first_ideal_comes_promptly",),
+    ),
+    # the public API is what a program calls
+    Mutant(
+        "uncalled-public-definition",
+        "src/stablebetti/betti.py",
+        "def table_to_json(T: BettiTable) -> dict:\n",
+        "def uncalled_helper():\n    return None\n\n\ndef table_to_json(T: BettiTable) -> dict:\n",
+        ("tests/test_lint.py::test_every_public_definition_has_a_caller",),
     ),
 )
 

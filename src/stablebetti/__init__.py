@@ -6,10 +6,8 @@ prescribed extremal Betti numbers."""
 from .betti import (
     BettiTable,
     betti_from_counts,
-    counts_from_betti,
     ek_betti,
     extremal_corners,
-    extremal_from_stable,
     render,
     table_to_json,
 )
@@ -57,7 +55,6 @@ from .ideals import (
     MonomialIdeal,
     count_vector,
     counts_to_matrix,
-    generator_counts,
     generator_matrix,
     graded_component,
     hilbert_function,
@@ -65,7 +62,6 @@ from .ideals import (
     is_piecewise_lex_up_to,
     is_stable,
     is_strongly_stable,
-    matrix_to_counts,
     minimalize,
     times_maximal,
 )

@@ -1,12 +1,12 @@
-"""Betti tables: the closed formula for stable ideals, conversions between
-tables and generator counts, extremal corner detection, and rendering."""
+"""Betti tables: the closed formula for stable ideals, extremal corner
+detection, and rendering."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 
 from .errors import NotStableError, _checked_int
-from .ideals import MonomialIdeal, class_degree_counts, generator_counts, is_stable
+from .ideals import MonomialIdeal, class_degree_counts, is_stable
 from .macaulay import binom
 
 
@@ -51,30 +51,9 @@ def ek_betti(I: MonomialIdeal) -> BettiTable:
     return betti_from_counts(class_degree_counts(I.gens), I.n)
 
 
-def counts_from_betti(T: BettiTable) -> dict:
-    """Signed counts m_{i,d} = sum_k (-1)^(k-i+1) binom(k, i-1)
-    beta_{k,k+d}, for i = 1..n+1.  Negative values are legitimate away
-    from stable ideals, so they are returned rather than rejected."""
-    degrees = {j - i for (i, j) in T.entries}
-    counts = {}
-    for d in degrees:
-        for i in range(1, T.n + 2):
-            m = 0
-            # binom(k, i - 1) vanishes below k = i - 1, and from there the
-            # sign's exponent is nonnegative, so the sum stays in integers
-            for k in range(i - 1, T.n + 1):
-                b = T.beta(k, k + d)
-                if b:
-                    m += (-1) ** (k - i + 1) * binom(k, i - 1) * b
-            if m:
-                counts[(i, d)] = m
-    return counts
-
-
 def betti_from_counts(counts: dict, n: int) -> BettiTable:
-    """Table with beta_{i,i+d} = sum_{k=i}^{n+1} binom(k-1, i) m_{k,d};
-    inverse of counts_from_betti.  Raises if a resulting entry would be
-    negative (inconsistent counts)."""
+    """Table with beta_{i,i+d} = sum_{k=i}^{n+1} binom(k-1, i) m_{k,d}.
+    Raises if a resulting entry would be negative (inconsistent counts)."""
     entries = {}
     for (k, d), c in counts.items():
         _checked_int("class index k", k, 1, n + 1)
@@ -108,12 +87,6 @@ def corners_from_counts(counts: dict) -> list:
     and then the value is m_{i+1,d}."""
     positions = [(k - 1, d) for (k, d) in counts]
     return [(i, d, counts[(i + 1, d)]) for (i, d) in _maximal_positions(positions)]
-
-
-def extremal_from_stable(I: MonomialIdeal) -> list:
-    """Extremal corners of a stable ideal straight from its generator
-    counts."""
-    return corners_from_counts(generator_counts(I))
 
 
 def _grid(entries, columns, dmin, dmax):

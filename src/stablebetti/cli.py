@@ -60,9 +60,12 @@ def _read(path):
 
 
 def _budget(text):
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"budget must be nonnegative, got {value}")
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 0:
+        raise argparse.ArgumentTypeError(f"budget must be a nonnegative integer, got {text!r}")
     return value
 
 
@@ -300,8 +303,10 @@ def build_parser():
     p = sub.add_parser("betti", help="Betti table of an ideal file")
     p.add_argument("ideal_file")
     p.add_argument("--method", choices=["ek", "oracle", "both"], default="ek")
-    p.add_argument("--quotient", action="store_true", help="render in the quotient convention")
-    p.add_argument("--json", action="store_true")
+    # the JSON form has no quotient convention
+    shape = p.add_mutually_exclusive_group()
+    shape.add_argument("--quotient", action="store_true", help="render in the quotient convention")
+    shape.add_argument("--json", action="store_true")
     add_budget(p, DEFAULT_BUDGET)
     p.set_defaults(func=_cmd_betti)
 

@@ -176,16 +176,6 @@ def class_degree_counts(gens) -> dict:
     return counts
 
 
-def generator_counts(I: MonomialIdeal) -> dict:
-    """Map (i, d) -> number of minimal generators of degree d with max
-    index i.  Demands stability, which is where these counts feed the
-    Betti formula; class_degree_counts(I.gens) counts on any ideal.
-    """
-    if not is_stable(I):
-        raise NotStableError("ideal is not stable; class_degree_counts counts anyway")
-    return class_degree_counts(I.gens)
-
-
 def count_vector(I: MonomialIdeal) -> tuple:
     """Totals (m_1, ..., m_n): generators counted by max index."""
     m = [0] * I.n
@@ -270,25 +260,9 @@ def new_generator_row(M: GeneratorMatrix, j: int) -> tuple:
     return tuple(mu - acc for mu, acc in zip(M.row(j), cumsum(M.row(j - 1))))
 
 
-def matrix_to_counts(M: GeneratorMatrix) -> dict:
-    """Recover the new-generator counts m_{i,j} from a generator matrix.
-    Raises if any count would be negative (the cumulative inequality
-    fails)."""
-    counts = {}
-    for j in range(M.jmin, M.jmin + len(M.rows)):
-        for i, (mu, m) in enumerate(zip(M.row(j), new_generator_row(M, j)), 1):
-            if m < 0:
-                raise DomainError(
-                    f"cumulative inequality fails at (i={i}, j={j}): "
-                    f"mu={mu} < running sum {mu - m}"
-                )
-            if m:
-                counts[(i, j)] = m
-    return counts
-
-
 def counts_to_matrix(counts: dict, n: int) -> GeneratorMatrix:
-    """Inverse of matrix_to_counts, built degree by degree."""
+    """Generator matrix of the new-generator counts m_{i,j}, built degree
+    by degree."""
     for (i, j), c in counts.items():
         _checked_int("max index i", i, 1, n)
         _checked_int("degree j", j, 1)

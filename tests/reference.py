@@ -7,8 +7,10 @@ rationals (against the table oracle), the ideal of a graded component,
 the restriction to a leading subring, the k-th biggest monomial of a
 max-index class by unranking (against enumeration), the conjugation
 that sends the strongly stable ideals of one bound onto those of the
-transposed bound (against counting), and the canonical order of
-enumeration as one sort of a whole bound (against its streamed walk).
+transposed bound (against counting), the canonical order of
+enumeration as one sort of a whole bound (against its streamed walk),
+and the signed generator counts read back off a Betti table (against
+the closed formula's betti_from_counts).
 """
 
 from dataclasses import dataclass
@@ -105,6 +107,27 @@ def reduced_homology_ranks(C: SimplicialComplexSmall) -> dict:
         k: len(by_dim.get(k, [])) - (boundary[k] if k >= 0 else 0) - boundary[k + 1]
         for k in range(-1, dim + 1)
     }
+
+
+def counts_from_betti(T) -> dict:
+    """Signed counts m_{i,d} = sum_k (-1)^(k-i+1) binom(k, i-1)
+    beta_{k,k+d}, for i = 1..n+1, inverting betti_from_counts.  Negative
+    values are legitimate away from stable ideals, so they are returned
+    rather than rejected."""
+    degrees = {j - i for (i, j) in T.entries}
+    counts = {}
+    for d in degrees:
+        for i in range(1, T.n + 2):
+            m = 0
+            # binom(k, i - 1) vanishes below k = i - 1, and from there the
+            # sign's exponent is nonnegative, so the sum stays in integers
+            for k in range(i - 1, T.n + 1):
+                b = T.beta(k, k + d)
+                if b:
+                    m += (-1) ** (k - i + 1) * binom(k, i - 1) * b
+            if m:
+                counts[(i, d)] = m
+    return counts
 
 
 def component_ideal(I: MonomialIdeal, d: int):

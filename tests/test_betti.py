@@ -8,14 +8,15 @@ import stablebetti as sb
 from stablebetti.betti import (
     BettiTable,
     betti_from_counts,
-    counts_from_betti,
+    corners_from_counts,
     ek_betti,
     extremal_corners,
-    extremal_from_stable,
     render,
     table_to_json,
 )
-from stablebetti.ideals import MonomialIdeal
+from stablebetti.ideals import MonomialIdeal, class_degree_counts
+
+from reference import counts_from_betti
 
 EX_I = MonomialIdeal(3, [
     (4, 0, 0), (3, 1, 0), (2, 2, 0), (1, 3, 0), (0, 4, 0),
@@ -72,7 +73,7 @@ def test_counts_from_betti_example():
 
 def test_counts_match_generators_on_stable(corpus_n3):
     for I in corpus_n3[::4]:
-        assert counts_from_betti(ek_betti(I)) == sb.generator_counts(I)
+        assert counts_from_betti(ek_betti(I)) == class_degree_counts(I.gens)
 
 
 def test_betti_from_counts_single_strand():
@@ -135,17 +136,19 @@ def test_extremal_corners_examples():
 
 
 def test_extremal_from_stable_examples():
-    assert extremal_from_stable(EX_I) == [(2, 5, 3)]
+    # a stable ideal's corners read straight off its generator counts
     U = sb.subring_lexsegment_ideal(4, 2, 2, 4)
-    assert extremal_from_stable(U) == [(3, 2, 2)]
-    assert extremal_from_stable(MonomialIdeal(1, [(4,)])) == [(0, 4, 1)]
+    for I, corners in (
+        (EX_I, [(2, 5, 3)]),
+        (U, [(3, 2, 2)]),
+        (MonomialIdeal(1, [(4,)]), [(0, 4, 1)]),
+    ):
+        assert corners_from_counts(class_degree_counts(I.gens)) == corners
 
 
 def test_extremal_routes_agree(corpus_n3, corpus_random_n4):
-    for I in corpus_n3:
-        assert extremal_from_stable(I) == extremal_corners(ek_betti(I))
-    for I in corpus_random_n4:
-        assert extremal_from_stable(I) == extremal_corners(ek_betti(I))
+    for I in corpus_n3 + corpus_random_n4:
+        assert corners_from_counts(class_degree_counts(I.gens)) == extremal_corners(ek_betti(I))
 
 
 def test_render_example():

@@ -4,6 +4,7 @@ import time
 import pytest
 
 import stablebetti as sb
+from stablebetti.betti import corners_from_counts
 from stablebetti.cli import main
 from stablebetti.formats import (
     format_ideal,
@@ -12,6 +13,7 @@ from stablebetti.formats import (
     parse_matrix_text,
     parse_profile,
 )
+from stablebetti.ideals import class_degree_counts
 
 IDEAL_TEXT = """\
 # a strongly stable ideal
@@ -95,6 +97,11 @@ def test_cli_betti_and_matrix(tmp_path, capsys):
     assert code == 0
     obj = json.loads(out)
     assert [2, 7, 3] in obj["entries"]
+    # the JSON form has no quotient convention, so the pair is refused
+    with pytest.raises(SystemExit) as exc:
+        main(["betti", str(path), "--quotient", "--json"])
+    assert exc.value.code == 2
+    capsys.readouterr()
     code, out, _ = run_cli(capsys, "matrix", str(path))
     assert code == 0
     assert out.splitlines() == ["n=3 jmin=4", "1 4 1", "1 5 9"]
@@ -243,7 +250,7 @@ def test_cli_extremal(capsys):
     code, out, _ = run_cli(capsys, "extremal", "construct", "--profile", "2,4,1;3,2,1", "--n", "4")
     assert code == 0
     ideal = parse_ideal_text(out)
-    assert sb.extremal_from_stable(ideal) == [(2, 4, 1), (3, 2, 1)]
+    assert corners_from_counts(class_degree_counts(ideal.gens)) == [(2, 4, 1), (3, 2, 1)]
     code, _, err = run_cli(capsys, "extremal", "construct", "--profile", "2,4,2;3,2,2", "--n", "4")
     assert code == 1 and "infeasible" in err
     # construct prints an ideal file and has no JSON form
@@ -333,7 +340,7 @@ def test_cli_enumerate_and_search(tmp_path, capsys):
 
     code, out, _ = run_cli(capsys, "search", "profile", "--profile", "2,4,1;3,2,1", "--n", "4")
     assert code == 0
-    assert sb.extremal_from_stable(parse_ideal_text(out)) == [(2, 4, 1), (3, 2, 1)]
+    assert corners_from_counts(class_degree_counts(parse_ideal_text(out).gens)) == [(2, 4, 1), (3, 2, 1)]
 
     zero = tmp_path / "zero.txt"
     zero.write_text("n=3 jmin=2\n0 0 0\n")
@@ -422,16 +429,21 @@ def test_cli_budget_zero_is_honoured(tmp_path, capsys):
         assert exc.value.code == 2
 
 
-def test_cli_negative_budget_is_malformed(tmp_path):
+def test_cli_negative_budget_is_malformed(tmp_path, capsys):
     path = tmp_path / "ideal.txt"
     path.write_text("n=2\n2 0\n1 1\n0 2\n")
     for argv in (
         ["betti", str(path), "--method", "oracle", "--budget", "-1"],
         ["enumerate", "--n", "2", "--dmax", "2", "--budget", "-1"],
+        ["betti", str(path), "--budget", "abc"],
+        ["betti", str(path), "--budget", "2.5"],
     ):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
+        err = capsys.readouterr().err
+        # the message names the option, not the private parser function
+        assert f"budget must be a nonnegative integer, got '{argv[-1]}'" in err and "_budget" not in err
 
 
 def test_cli_matrix_rejects_unstable(tmp_path, capsys):

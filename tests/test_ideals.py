@@ -5,7 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stablebetti as sb
-from stablebetti.ideals import GeneratorMatrix, MonomialIdeal, class_degree_counts
+from stablebetti.ideals import GeneratorMatrix, MonomialIdeal, class_degree_counts, new_generator_row
 from stablebetti.monomials import enumerate_degree, max_index, swap_variable
 
 from reference import component_ideal
@@ -193,12 +193,10 @@ def test_piecewise_up_to():
 
 
 def test_generator_counts():
-    assert sb.generator_counts(EX_I) == {(1, 4): 1, (2, 4): 4, (3, 4): 1, (3, 5): 3}
-    assert sb.generator_counts(MonomialIdeal(1, [(3,)])) == {(1, 3): 1}
+    assert class_degree_counts(EX_I.gens) == {(1, 4): 1, (2, 4): 4, (3, 4): 1, (3, 5): 3}
+    assert class_degree_counts(MonomialIdeal(1, [(3,)]).gens) == {(1, 3): 1}
     m2 = component_ideal(sb.times_maximal(MonomialIdeal(3, [(1, 0, 0), (0, 1, 0), (0, 0, 1)]), 1), 2)
-    assert sb.generator_counts(m2) == {(1, 2): 1, (2, 2): 2, (3, 2): 3}
-    with pytest.raises(sb.NotStableError):
-        sb.generator_counts(EX_J)
+    assert class_degree_counts(m2.gens) == {(1, 2): 1, (2, 2): 2, (3, 2): 3}
     assert sum(class_degree_counts(EX_J.gens).values()) == 9
 
 
@@ -241,15 +239,15 @@ def test_matrix_counts_roundtrip_on_example():
     M = sb.generator_matrix(EX_I)
     assert M.jmin == 4
     assert M.rows == ((1, 4, 1), (1, 5, 9))
-    counts = sb.matrix_to_counts(M)
-    assert counts == {(1, 4): 1, (2, 4): 4, (3, 4): 1, (3, 5): 3}
+    assert [new_generator_row(M, j) for j in (4, 5)] == [(1, 4, 1), (0, 0, 3)]
+    counts = {(1, 4): 1, (2, 4): 4, (3, 4): 1, (3, 5): 3}
     assert sb.counts_to_matrix(counts, 3) == M
 
 
 def test_matrix_counts_violation():
     M = GeneratorMatrix(4, 5, ((1, 3, 2, 2), (1, 3, 6, 9)))
-    with pytest.raises(sb.DomainError):
-        sb.matrix_to_counts(M)
+    assert new_generator_row(M, 6) == (0, -1, 0, 1)
+    assert [(it.j, it.condition) for it in sb.check_matrix_necessary(M).failures()] == [(6, "cumulative")]
 
 
 def test_matrix_canonical_and_eq():

@@ -5,6 +5,7 @@ from pathlib import Path
 import stablebetti
 
 SRC = Path(stablebetti.__file__).parent
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def test_library_has_no_assert():
@@ -37,18 +38,44 @@ def test_library_has_no_unused_import():
     assert not found, found
 
 
+def test_every_public_definition_has_a_caller():
+    # the public API is what a program calls: a module-level def or class
+    # without a leading underscore is named by the library, a script or the
+    # bench; tests are not callers, nor are names inside strings
+    callers = [path for path in SRC.glob("*.py") if path.name != "__init__.py"]
+    callers += [*(ROOT / "scripts").glob("*.py"), *(ROOT / "bench").glob("*.py")]
+    used = set()
+    for path in callers:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                used.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                used.add(node.attr)
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
+                if node.name not in used:
+                    found.append(f"{path.name}:{node.lineno} {node.name}")
+    assert not found, found
+
+
 MOVED_TO_TESTS = {
     "oracle": ("SimplicialComplexSmall", "upper_koszul", "reduced_homology_ranks"),
     "ideals": ("ideal_sum", "component_ideal", "restrict_to_subring"),
     "monomials": ("kth_biggest_with_max_index",),
+    "betti": ("counts_from_betti",),
 }
 
 
-# helpers that only their own tests called, deleted rather than moved
+# helpers that no program called, deleted rather than moved
 DELETED = {
     "constructions": ("Block", "lower_segment_blocks", "block_monomials"),
     "monomials": ("deglex_compare",),
-    "betti": ("table_from_json",),
+    "betti": ("table_from_json", "extremal_from_stable"),
+    "ideals": ("generator_counts", "matrix_to_counts"),
     "formats": ("format_profile",),
     "macaulay": ("is_o_sequence_from_zero",),
     "enumeration": ("_walk_setup",),

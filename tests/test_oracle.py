@@ -6,12 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import stablebetti as sb
-from stablebetti.ideals import MonomialIdeal
+from stablebetti.ideals import MonomialIdeal, class_degree_counts
 from stablebetti.macaulay import binom
 from stablebetti.oracle import integer_matrix_rank, oracle_betti
 
 from reference import (
     SimplicialComplexSmall,
+    counts_from_betti,
     rank_over_rationals,
     reduced_homology_ranks,
     upper_koszul,
@@ -120,9 +121,9 @@ def test_oracle_shape_and_counts_nonnegative(corpus_n3):
         T = oracle_betti(I)
         for (i, j) in T.entries:
             assert 0 <= i <= I.n - 1 and j > i
-        counts = sb.counts_from_betti(T)
+        counts = counts_from_betti(T)
         assert all(c >= 0 for c in counts.values())
-        assert counts == sb.generator_counts(I)
+        assert counts == class_degree_counts(I.gens)
 
 
 def hilbert_from_table(I, T, top):
