@@ -45,6 +45,7 @@ ERRORS = "src/stablebetti/errors.py"
 IDEALS = "src/stablebetti/ideals.py"
 ENUMERATION = "src/stablebetti/enumeration.py"
 MACAULAY = "src/stablebetti/macaulay.py"
+ORACLE = "src/stablebetti/oracle.py"
 
 MUTANTS = (
     # the generating-set checks, each owned by ideals
@@ -179,9 +180,9 @@ MUTANTS = (
     ),
     Mutant(
         "oracle-full-simplex-not-skipped",
-        "src/stablebetti/oracle.py",
-        "            continue  # a full simplex is contractible\n",
-        "            pass  # a full simplex is contractible\n",
+        ORACLE,
+        "    if supp in facets:\n        return None\n",
+        "",
         (
             "tests/test_oracle.py::test_oracle_small_ideals",
             "tests/test_oracle.py::test_oracle_matches_formula_small_corpus",
@@ -189,6 +190,17 @@ MUTANTS = (
         ),
         # a full simplex has no reduced homology, so its ranks are all 0
         equivalent=True,
+    ),
+    Mutant(
+        "oracle-facet-keeps-equal-exponents",
+        ORACLE,
+        " if e < f)",
+        " if e <= f)",
+        (
+            "tests/test_oracle.py::test_oracle_small_ideals",
+            "tests/test_oracle.py::test_oracle_matches_formula_small_corpus",
+            "tests/test_oracle.py::test_koszul_faces_match_reference",
+        ),
     ),
     Mutant(
         "filters-short-count-not-cut",

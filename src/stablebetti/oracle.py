@@ -2,33 +2,43 @@
 
 The rank of the degree-b strand of the minimal free resolution equals the
 reduced homology rank, in dimension i - 1, of the upper Koszul complex of
-the ideal at the multidegree b.  Summing over the multidegrees dividing
-the lcm of the generators (all Betti multidegrees do) gives the graded
-table.  Homology is computed over the rationals via exact fraction-free
-integer elimination, realizing the characteristic-0 convention.
+the ideal at the multidegree b: the squarefree subsets tau of the support
+of b with x^b / x^tau in the ideal.  A generator g divides x^b / x^tau
+exactly when g divides x^b and tau lies in {t : g_t < b_t}, so these sets,
+over the generators dividing x^b, are the facets of the complex; no
+membership test is made.  Summing over the multidegrees dividing the lcm
+of the generators (all Betti multidegrees do) gives the graded table.
+Homology is computed over the rationals via exact fraction-free integer
+elimination, realizing the characteristic-0 convention.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, product
+from operator import le
 
 from .betti import BettiTable
 from .errors import DEFAULT_BUDGET, BudgetExceededError, _checked_int
 from .ideals import MonomialIdeal
 
 
-def _koszul_faces(b, inside) -> list:
-    """Squarefree subsets tau of the support of b, as sets of 1-based
-    variable indices, with inside(x^b / x^tau) true."""
-    supp = [t for t, e in enumerate(b) if e]
-    faces = []
-    for r in range(len(supp) + 1):
-        for tau in combinations(supp, r):
-            m = list(b)
-            for t in tau:
-                m[t] -= 1
-            if inside(tuple(m)):
-                faces.append(frozenset(t + 1 for t in tau))
+def _koszul_faces(gens, b):
+    """Faces of the upper Koszul complex at b, as sets of 1-based variable
+    indices: every subset of a facet {t : g_t < b_t} of a generator g
+    dividing x^b.  None when the complex has no homology to read: no
+    generator divides x^b (void), or some facet is the whole support of b
+    (a full simplex, which is contractible)."""
+    dividing = [g for g in gens if all(map(le, g, b))]
+    if not dividing:
+        return None
+    supp = frozenset(t + 1 for t, f in enumerate(b) if f)
+    facets = {frozenset(t + 1 for t, (e, f) in enumerate(zip(g, b)) if e < f) for g in dividing}
+    if supp in facets:
+        return None
+    faces = set()
+    for facet in facets:
+        for r in range(len(facet) + 1):
+            faces.update(map(frozenset, combinations(facet, r)))
     return faces
 
 
@@ -92,25 +102,6 @@ def _ranks_from_faces(faces):
     return ranks
 
 
-def _membership_table(I: MonomialIdeal, lcm_exp):
-    # b in I for every divisor b of the lcm, in one pass over product order:
-    # b is in I iff b is a generator or some coordinate decrement stays in I.
-    gen_set = set(I.gens)
-    table = {}
-    ranges = [range(e + 1) for e in lcm_exp]
-    for b in product(*ranges):
-        if b in gen_set:
-            table[b] = True
-            continue
-        hit = False
-        for t in range(len(b)):
-            if b[t] and table[b[:t] + (b[t] - 1,) + b[t + 1:]]:
-                hit = True
-                break
-        table[b] = hit
-    return table
-
-
 def oracle_betti(I: MonomialIdeal, budget: int = DEFAULT_BUDGET) -> BettiTable:
     """Exact characteristic-0 Betti table of an arbitrary monomial ideal.
 
@@ -118,11 +109,7 @@ def oracle_betti(I: MonomialIdeal, budget: int = DEFAULT_BUDGET) -> BettiTable:
     BudgetExceededError when there are more than `budget` of them.
     """
     _checked_int("budget", budget)
-    lcm_exp = [0] * I.n
-    for g in I.gens:
-        for t, e in enumerate(g):
-            if e > lcm_exp[t]:
-                lcm_exp[t] = e
+    lcm_exp = [max(col) for col in zip(*I.gens)]
     ndiv = 1
     for e in lcm_exp:
         ndiv *= e + 1
@@ -132,14 +119,11 @@ def oracle_betti(I: MonomialIdeal, budget: int = DEFAULT_BUDGET) -> BettiTable:
             "use the stable-ideal formula or a smaller input",
             partial_count=0,
         )
-    member = _membership_table(I, lcm_exp)
     entries = {}
-    for b, inside in member.items():
-        if not inside:
+    for b in product(*(range(e + 1) for e in lcm_exp)):
+        faces = _koszul_faces(I.gens, b)
+        if faces is None:
             continue
-        faces = _koszul_faces(b, member.__getitem__)
-        if len(faces) == 2 ** sum(1 for e in b if e):
-            continue  # a full simplex is contractible
         j = sum(b)
         for dim, rank in _ranks_from_faces(faces).items():
             if rank:

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 import stablebetti as sb
 from stablebetti.ideals import MonomialIdeal, class_degree_counts
 from stablebetti.macaulay import binom
-from stablebetti.oracle import integer_matrix_rank, oracle_betti
+from stablebetti.oracle import _koszul_faces, integer_matrix_rank, oracle_betti
 
 from reference import (
     SimplicialComplexSmall,
@@ -103,6 +104,52 @@ def test_oracle_budget():
 def test_oracle_matches_formula_small_corpus(corpus_n3):
     for I in corpus_n3[::3]:
         assert oracle_betti(I) == sb.ek_betti(I)
+
+
+def test_koszul_faces_match_reference(corpus_n3):
+    # the faces read off the generators are the reference complex, and None
+    # stands exactly for the void complex and the full simplex on supp b
+    rng = random.Random(27)
+    non_stable = [MonomialIdeal(3, [(0, 2, 0), (1, 0, 1)])]
+    while len(non_stable) < 6:
+        n = rng.randint(2, 4)
+        gens = [tuple(rng.randint(0, 3) for _ in range(n)) for _ in range(rng.randint(2, 5))]
+        gens = [g for g in gens if any(g)]
+        if gens and not sb.is_stable(I := sb.minimalize(n, gens)):
+            non_stable.append(I)
+    for I in corpus_n3 + non_stable:
+        lcm = [max(col) for col in zip(*I.gens)]
+        for b in product(*(range(e + 1) for e in lcm)):
+            ref = upper_koszul(I, b).faces
+            got = _koszul_faces(I.gens, b)
+            if not ref or len(ref) == 2 ** sum(1 for e in b if e):
+                assert got is None, (I, b)
+            else:
+                assert got == ref, (I, b)
+
+
+def test_oracle_budget_boundary():
+    # the budget counts every divisor of the lcm: 4 * 4 * 4 here
+    I = MonomialIdeal(3, [(3, 0, 0), (0, 3, 0), (0, 0, 3)])
+    assert oracle_betti(I, budget=64) == oracle_betti(I)
+    with pytest.raises(sb.BudgetExceededError) as info:
+        oracle_betti(I, budget=63)
+    assert info.value.partial_count == 0
+    assert str(info.value).startswith("64 multidegrees exceed the budget")
+
+
+def test_oracle_holds_no_per_divisor_table():
+    # 30 ** 3 = 27,000 divisors of the lcm; a table over them peaked at
+    # about 3 MiB, the faces of one multidegree at a time take kilobytes
+    I = MonomialIdeal(3, [(29, 0, 0), (0, 29, 0), (0, 0, 29), (1, 1, 1)])
+    tracemalloc.start()
+    try:
+        T = oracle_betti(I)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**19, peak
+    assert T.entries == {(0, 3): 1, (0, 29): 3, (1, 31): 3, (1, 58): 3, (2, 59): 3}
 
 
 def test_upper_koszul_homology_sums_to_oracle(corpus_n3):
