@@ -232,8 +232,10 @@ MUTANTS = (
     Mutant(
         "count-caps-read-the-transpose",
         ENUMERATION,
-        "    cap, message = _walk_caps(n, dmax, budget)\n    return _count(",
-        "    cap, message = _walk_caps(min(n, dmax), max(n, dmax), budget)\n    return _count(",
+        # the orientation swap moved above the caps
+        '    _checked_int("dmax", dmax, 1)\n    if budget is None',
+        '    _checked_int("dmax", dmax, 1)\n    if max(n, dmax) <= DEGREE_CAP:\n'
+        "        n, dmax = min(n, dmax), max(n, dmax)\n    if budget is None",
         ("tests/test_enumeration.py::test_count_keeps_the_caps_of_the_bound_as_given",),
     ),
     Mutant(
@@ -297,9 +299,24 @@ MUTANTS = (
     Mutant(
         "enumeration-count-dropped",
         ENUMERATION,
-        "    _count(_count_layers(n, dmax), cap, message)\n",
+        "    count_strongly_stable(n, dmax, budget)\n",
         "",
         ("tests/test_enumeration.py::test_first_ideal_comes_promptly",),
+    ),
+    # a walk builds each layer when it reaches its degree
+    Mutant(
+        "count-builds-every-layer-first",
+        ENUMERATION,
+        "        above = _layer(n, d + 1) if d < dmax else None\n",
+        "        above = _walk_layers(n, dmax)[d] if d < dmax else None\n",
+        ("tests/test_enumeration.py::test_refused_count_builds_no_layer_above_its_stop",),
+    ),
+    Mutant(
+        "search-builds-every-layer-first",
+        ENUMERATION,
+        "    layers = [_layer(n, 1)]\n",
+        "    layers = _walk_layers(n, len(specs))\n",
+        ("tests/test_enumeration.py::test_search_miss_builds_no_layer_above_its_stop",),
     ),
     # the public API is what a program calls
     Mutant(
@@ -307,6 +324,13 @@ MUTANTS = (
         "src/stablebetti/betti.py",
         "def table_to_json(T: BettiTable) -> dict:\n",
         "def uncalled_helper():\n    return None\n\n\ndef table_to_json(T: BettiTable) -> dict:\n",
+        ("tests/test_lint.py::test_every_public_definition_has_a_caller",),
+    ),
+    Mutant(
+        "uncalled-public-method",
+        IDEALS,
+        "    def max_gen_degree(self):\n",
+        "    def uncalled_method(self):\n        return None\n\n    def max_gen_degree(self):\n",
         ("tests/test_lint.py::test_every_public_definition_has_a_caller",),
     ),
 )

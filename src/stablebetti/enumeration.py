@@ -15,7 +15,9 @@ changed once built, so a cached layer serves every call as it is.
 What a (degree, shadow) pair yields depends on nothing else, so a pair
 that yielded no chain is dead and is not walked again.  Without pins
 every pair yields at least the chain that adds nothing, so only a
-search ever meets a dead pair.
+search ever meets a dead pair.  A walk builds each layer the first time
+it reaches its degree, so one that stops low, on a budget or on a degree
+no set can fill, builds nothing above where it stops.
 
 Counting does not visit each chain, nor list any degree's sets.  What a
 chain can become above degree d depends only on the shadow it hands to
@@ -30,10 +32,10 @@ most n, so conjugation makes the count at (n, dmax) equal the one at
 (dmax, n), and counting runs with no more variables than degrees, the
 orientation whose top layer, binom(n + dmax - 1, dmax), is the smaller.
 
-Enumeration counts first, then lists its ideals by maximal generator
-degree d = 1..dmax.  An ideal of bucket d is a lower part, the ideal of
-its generators below degree d (or nothing), plus a nonempty set of
-degree-d generators.  The bucket takes its lower parts in the order of
+Enumeration gates through the count, then lists its ideals by maximal
+generator degree d = 1..dmax.  An ideal of bucket d is a lower part, the
+ideal of its generators below degree d (or nothing), plus a nonempty set
+of degree-d generators.  The bucket takes its lower parts in the order of
 their generator lists, and from each one lists the exchange-closed
 supersets of the part's shadow with the searches' walk, unpinned, whose
 order is the canonical one (see _filters), so it yields in the canonical
@@ -184,22 +186,25 @@ def _filters(layer: _Layer, base: int, spec):
 
 
 def _chains(layers, specs):
-    """Yield every chain of exchange-closed sets for degrees 1..len(layers),
+    """Yield every chain of exchange-closed sets for degrees 1..len(specs),
     depth first, as the tuple of its per-degree new-element masks (each
     set minus the shadow of the one below).
 
+    layers holds the layers of degrees 1..k for some k >= 1; the walk
+    appends the layer of each further degree the first time it descends
+    to it, so a walk that stops low builds nothing above where it stops.
     specs[d - 1] holds the per-class new-generator counts for degree d
     (None for a free degree).  The pins depend on the degree alone, so a
     (degree, shadow) pair that has yielded no chain yields none on a later
     visit either, and the walk skips it.
     """
-    top = len(layers) - 1
+    top = len(specs) - 1
     dead = set()
 
     def walk(di, base, prefix):
         # the chains from degree di + 1 upward whose set there contains
         # base; returns whether there was any.  The depth is at most
-        # len(layers), which the degree cap bounds by 64.
+        # len(specs), which the degree cap bounds by 64.
         layer = layers[di]
         found = False
         for mask in _filters(layer, base, specs[di]):
@@ -208,6 +213,8 @@ def _chains(layers, specs):
                 found = True
                 yield chain
                 continue
+            if di + 1 == len(layers):
+                layers.append(_layer(layer.n, di + 2))
             shadow = _shadow(layers[di + 1], mask)
             if (di + 1, shadow) not in dead:
                 found |= yield from walk(di + 1, shadow, chain)
@@ -231,37 +238,6 @@ def _generators(layers, masks):
     return gens
 
 
-def _walk_caps(n, dmax, budget):
-    """The ideal cap of the unconstrained walk behind enumeration and
-    counting, and the message of the error past it, judged on the bound
-    as given."""
-    _checked_int("n", n, 1)
-    _checked_int("dmax", dmax, 1)
-    if budget is None and (n > DEFAULT_ENUM_N or dmax > DEFAULT_ENUM_DMAX):
-        raise BudgetExceededError(
-            f"default budget covers n <= {DEFAULT_ENUM_N}, dmax <= {DEFAULT_ENUM_DMAX}; "
-            "pass an explicit budget to enumerate further",
-            partial_count=0,
-        )
-    cap = DEFAULT_BUDGET if budget is None else _checked_int("budget", budget)
-    message = f"enumeration exceeded the budget of {cap} ideals"
-    # each monomial u of degree 1..dmax generates its own ideal (the Borel
-    # closure of u has u as its one Borel-minimal generator), so a cap
-    # below their number fails here as _count would fail on it later
-    if binom(n + dmax, dmax) - 1 > cap:
-        raise BudgetExceededError(message, partial_count=cap)
-    return cap, message
-
-
-def _count_layers(n, dmax) -> list:
-    """The layers a count of the bound walks: those of its conjugate when
-    that has fewer variables, unless the conjugate is past the degree cap.
-    The count is the same either way."""
-    if max(n, dmax) <= DEGREE_CAP:
-        n, dmax = min(n, dmax), max(n, dmax)
-    return _walk_layers(n, dmax)
-
-
 def enumerate_strongly_stable(n, dmax, budget=None):
     """Yield every nonzero strongly stable ideal in n variables whose
     minimal generators all have degree <= dmax, each exactly once, in a
@@ -279,8 +255,7 @@ def enumerate_strongly_stable(n, dmax, budget=None):
     of the top bucket, not its ideals: 8,952 parts at (4, 5), whose top
     bucket has 674,160 ideals.
     """
-    cap, message = _walk_caps(n, dmax, budget)
-    _count(_count_layers(n, dmax), cap, message)
+    count_strongly_stable(n, dmax, budget)
     # (generators, set in the degree below) of each lower part
     parts = [((), 0)]
     for d, layer in enumerate(_walk_layers(n, dmax), 1):
@@ -306,15 +281,34 @@ def count_strongly_stable(n, dmax, budget=None) -> int:
     chain.  The caps read the bound as given; the walk then runs on
     its conjugate when that has fewer variables, unless the conjugate
     is past the degree cap."""
-    cap, message = _walk_caps(n, dmax, budget)
-    return _count(_count_layers(n, dmax), cap, message)
+    _checked_int("n", n, 1)
+    _checked_int("dmax", dmax, 1)
+    if budget is None and (n > DEFAULT_ENUM_N or dmax > DEFAULT_ENUM_DMAX):
+        raise BudgetExceededError(
+            f"default budget covers n <= {DEFAULT_ENUM_N}, dmax <= {DEFAULT_ENUM_DMAX}; "
+            "pass an explicit budget to enumerate further",
+            partial_count=0,
+        )
+    cap = DEFAULT_BUDGET if budget is None else _checked_int("budget", budget)
+    # each monomial u of degree 1..dmax generates its own ideal (the Borel
+    # closure of u has u as its one Borel-minimal generator), so a cap
+    # below their number fails here as _count would fail on it later
+    if binom(n + dmax, dmax) - 1 > cap:
+        raise BudgetExceededError(
+            f"enumeration exceeded the budget of {cap} ideals", partial_count=cap
+        )
+    if max(n, dmax) <= DEGREE_CAP:
+        n, dmax = min(n, dmax), max(n, dmax)
+    return _count(n, dmax, cap)
 
 
-def _count(layers, cap, message) -> int:
-    """The number of nonempty chains over layers, raising
-    BudgetExceededError(message) once it passes cap.
+def _count(n, dmax, cap) -> int:
+    """The number of nonempty chains over the layers of (n, dmax),
+    raising the budget error once it passes cap.
 
-    One forward pass per degree, over the positions in index order.  A
+    One forward pass per degree, over the positions in index order; the
+    pass over degree d builds the layer of degree d + 1, whose up masks it
+    reads, as it starts, so a pass the cap stops builds nothing higher.  A
     state is one int: its low bits are the chosen set cut down to the
     positions a later parents test reads (the base's later positions
     among them, so a position already in the base takes only the include
@@ -325,12 +319,13 @@ def _count(layers, cap, message) -> int:
     multiplicities, only grows towards the count plus the empty chain,
     and it bounds the number of states.
     """
-    top = len(layers) - 1
     bases = {0: 1}
     total = 1
-    for di, layer in enumerate(layers):
+    layer = _layer(n, 1)
+    for d in range(1, dmax + 1):
         size = len(layer.mons)
-        up = layers[di + 1].up if di < top else [0] * size
+        above = _layer(n, d + 1) if d < dmax else None
+        up = above.up if above else [0] * size
         need = layer.need
         states = bases
         for t, p in enumerate(layer.parents):
@@ -352,11 +347,14 @@ def _count(layers, cap, message) -> int:
             states = nxt
             total += added
             if total > cap + 1:
-                raise BudgetExceededError(message, partial_count=cap)
+                raise BudgetExceededError(
+                    f"enumeration exceeded the budget of {cap} ideals", partial_count=cap
+                )
         bases = {}
         for cur, m in states.items():
             s = cur >> size
             bases[s] = bases.get(s, 0) + m
+        layer = above
     return total - 1
 
 
@@ -390,7 +388,7 @@ def _first_chain(n, specs, miss) -> SearchOutcome:
     if any(tgt is not None and not 0 <= tgt <= class_size(c, d)
            for d, spec in enumerate(specs, 1) for c, tgt in enumerate(spec, 1)):
         return SearchOutcome(None, miss)
-    layers = _walk_layers(n, len(specs))
+    layers = [_layer(n, 1)]
     masks = next(_chains(layers, specs), None)
     if masks is None:
         return SearchOutcome(None, miss)

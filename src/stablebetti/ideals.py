@@ -61,9 +61,6 @@ class MonomialIdeal:
             raise DomainError("monomial lives in a different ring")
         return any(divides(g, u) for g in self.gens)
 
-    def min_gen_degree(self):
-        return min(sum(g) for g in self.gens)
-
     def max_gen_degree(self):
         return max(sum(g) for g in self.gens)
 

@@ -44,9 +44,6 @@ class MacaulayRep:
         """Pairs (k(i), i) from i = d down to 1."""
         return tuple(zip(self.ks, range(self.d, 0, -1)))
 
-    def value(self) -> int:
-        return sum(binom(k, i) for k, i in self.terms())
-
 
 def greedy_arg(rem, i):
     """Largest k >= i - 1 with binom(k, i) <= rem (k = i - 1 encodes a

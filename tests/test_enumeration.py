@@ -204,20 +204,30 @@ def test_small_budget_stops_a_wide_top_layer_at_once():
         assert time.perf_counter() - start < 0.5, (n, dmax)
 
 
+def _record_builds(monkeypatch):
+    """The (n, d) of each layer built from here on, none cached; a layer
+    above degree 5 fails the test at once instead of being built."""
+    built = []
+
+    class RecordedLayer(enumeration._Layer):
+        __slots__ = ()
+
+        def __init__(self, n, d):
+            if d > 5:
+                raise AssertionError(f"built layer ({n}, {d})")
+            built.append((n, d))
+            super().__init__(n, d)
+
+    monkeypatch.setattr(enumeration, "_Layer", RecordedLayer)
+    monkeypatch.setattr(enumeration, "_layers", {})
+    return built
+
+
 def test_budget_zero_builds_no_layers(monkeypatch):
     # each monomial of degree 1..dmax generates its own ideal, so a budget
     # below their number, binom(n + dmax, dmax) - 1, stops before the walk
     # builds a layer; (11, 9) has 92,378 monomials of degree 9
-    built = []
-
-    class CountedLayer(enumeration._Layer):
-        __slots__ = ()
-
-        def __init__(self, n, d):
-            built.append((n, d))
-            super().__init__(n, d)
-
-    monkeypatch.setattr(enumeration, "_Layer", CountedLayer)
+    built = _record_builds(monkeypatch)
     start = time.perf_counter()
     for budget in (0, 1, math.comb(20, 9) - 2):
         with pytest.raises(sb.BudgetExceededError) as err:
@@ -229,6 +239,39 @@ def test_budget_zero_builds_no_layers(monkeypatch):
         assert err.value.partial_count == budget
     assert built == []
     assert time.perf_counter() - start < 1.0
+
+
+def test_refused_count_builds_no_layer_above_its_stop(monkeypatch):
+    # (10, 10) passes the monomial gate at 200,000 and its count stops
+    # inside degree 3, whose pass reads the up masks of degree 4; building
+    # all ten layers first took about 8 s and 2.8 GiB at a budget of 10**6
+    # on a 2-vCPU machine
+    for run in (
+        lambda: count_strongly_stable(10, 10, budget=200_000),
+        lambda: next(enumerate_strongly_stable(10, 10, budget=200_000)),
+    ):
+        built = _record_builds(monkeypatch)
+        with pytest.raises(sb.BudgetExceededError) as err:
+            run()
+        assert (str(err.value), err.value.partial_count) == (
+            "enumeration exceeded the budget of 200000 ideals", 200_000
+        )
+        assert built == [(10, d) for d in range(1, 5)]
+
+
+def test_search_miss_builds_no_layer_above_its_stop(monkeypatch):
+    # no set of degree 1 holds x_1 and x_3 without x_2, so the search
+    # misses on row 1 and builds no layer of the 23 rows above it, the
+    # last of which reaches the 118,755 monomials of degree 24
+    rows = [(1, 0, 1, 0, 0, 0)]
+    while len(rows) < 24:
+        sums = [sum(rows[-1][:i + 1]) for i in range(6)]
+        rows.append(tuple(sums[:-1]) + (sums[-1] + 1,))
+    assert rows[-1] == (1, 23, 277, 2323, 15226, 83053)
+    built = _record_builds(monkeypatch)
+    out = search_matrix(GeneratorMatrix(6, 1, tuple(rows)))
+    assert (out.found, out.note) == (None, MATRIX_MISS)
+    assert built == [(6, 1)]
 
 
 def test_walk_bounds_must_be_positive():
@@ -256,9 +299,20 @@ def _outcome(count, n, dmax, budget):
 
 
 def _walked_count(n, dmax, budget):
-    # reference: visit the nonempty chains one by one under the budget
-    cap, message = enumeration._walk_caps(n, dmax, budget)
-    layers = enumeration._walk_layers(n, dmax)
+    # reference: visit the nonempty chains one by one under the budget.
+    # The default covers n <= 4, dmax <= 5, and each monomial of degree
+    # 1..dmax generates its own ideal, so a cap below their number fails
+    # as the walk would, without the walk
+    if budget is None and (n > 4 or dmax > 5):
+        raise sb.BudgetExceededError(
+            "default budget covers n <= 4, dmax <= 5; pass an explicit budget to enumerate further",
+            partial_count=0,
+        )
+    cap = 2 * 10**6 if budget is None else budget
+    message = f"enumeration exceeded the budget of {cap} ideals"
+    if math.comb(n + dmax, dmax) - 1 > cap:
+        raise sb.BudgetExceededError(message, partial_count=cap)
+    layers = _walk_layers(n, dmax)
     seen = 0
     for masks in _chains(layers, [None] * len(layers)):
         if any(masks):
@@ -295,15 +349,13 @@ def test_large_counts_pinned():
 
 
 def test_count_is_symmetric_in_n_and_dmax():
-    # _count on the layers of (n, d) and on those of (d, n) agree on every
-    # pair below, which sets wide top layers against chain-shaped ones;
-    # conjugation (test_conjugation_transposes_the_bound) is the bijection
-    # behind it.  count_strongly_stable walks only one of the two
+    # _count at (n, d) and at (d, n) agree on every pair below, which
+    # sets wide top layers against chain-shaped ones; conjugation
+    # (test_conjugation_transposes_the_bound) is the bijection behind it.
+    # count_strongly_stable walks only one of the two
     pairs = [(n, d) for n in range(1, 25) for d in range(n + 1, 25) if n * d <= 24]
     for n, d in pairs:
-        assert _count(_walk_layers(n, d), 10**9, "over") == _count(
-            _walk_layers(d, n), 10**9, "over"
-        ), (n, d)
+        assert _count(n, d, 10**9) == _count(d, n, 10**9), (n, d)
 
 
 def test_count_keeps_the_caps_of_the_bound_as_given():
@@ -324,21 +376,21 @@ def test_count_keeps_the_caps_of_the_bound_as_given():
 def test_count_walks_no_more_variables_than_degrees(monkeypatch):
     # the top layer of (3, 5) has 21 monomials, that of (5, 3) 35
     walked = []
-    walk_layers = enumeration._walk_layers
+    layer = enumeration._layer
 
     def recorded(n, d):
         walked.append((n, d))
-        return walk_layers(n, d)
+        return layer(n, d)
 
-    monkeypatch.setattr(enumeration, "_walk_layers", recorded)
+    monkeypatch.setattr(enumeration, "_layer", recorded)
     assert count_strongly_stable(5, 3, budget=10**4) == 2429
     assert count_strongly_stable(2, 10, budget=10**4) == 2046
-    assert walked == [(3, 5), (2, 10)]
+    assert walked == [(3, d) for d in range(1, 6)] + [(2, d) for d in range(1, 11)]
     # enumeration's up-front count follows the same rule, then lists the
     # ideals on the bound as given
     walked.clear()
     next(enumerate_strongly_stable(5, 3, budget=10**4))
-    assert walked == [(3, 5), (5, 3)]
+    assert walked == [(3, d) for d in range(1, 6)] + [(5, d) for d in range(1, 4)]
 
 
 def test_conjugation_transposes_the_bound():
@@ -358,13 +410,13 @@ def test_count_matches_the_chain_listing():
     # the forward pass against the nonempty chains the walk lists, on
     # bounds with wide top layers (n = 5) and a deep one (2, 10); one
     # below the listed number it stops with the budget error
-    message = "over the cap"
     for n, d in [(n, d) for n in range(1, 6) for d in range(1, 5)] + [(2, 10)]:
         layers = _walk_layers(n, d)
         listed = sum(1 for masks in _chains(layers, [None] * d) if any(masks))
-        assert _count(layers, listed, message) == listed, (n, d)
+        assert _count(n, d, listed) == listed, (n, d)
         with pytest.raises(sb.BudgetExceededError) as err:
-            _count(layers, listed - 1, message)
+            _count(n, d, listed - 1)
+        message = f"enumeration exceeded the budget of {listed - 1} ideals"
         assert (str(err.value), err.value.partial_count) == (message, listed - 1), (n, d)
 
 

@@ -41,24 +41,35 @@ def test_library_has_no_unused_import():
 def test_every_public_definition_has_a_caller():
     # the public API is what a program calls: a module-level def or class
     # without a leading underscore is named by the library, a script or the
-    # bench; tests are not callers, nor are names inside strings
+    # bench, and a public method of such a class is named as an attribute
+    # there; tests are not callers, nor are names inside strings
     callers = [path for path in SRC.glob("*.py") if path.name != "__init__.py"]
     callers += [*(ROOT / "scripts").glob("*.py"), *(ROOT / "bench").glob("*.py")]
-    used = set()
+    names, attributes = set(), set()
     for path in callers:
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for node in ast.walk(tree):
             if isinstance(node, ast.Name):
-                used.add(node.id)
+                names.add(node.id)
             elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
+                attributes.add(node.attr)
+    used = names | attributes
     found = []
     for path in sorted(SRC.glob("*.py")):
         tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
         for node in tree.body:
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not node.name.startswith("_"):
-                if node.name not in used:
-                    found.append(f"{path.name}:{node.lineno} {node.name}")
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)) or node.name.startswith("_"):
+                continue
+            if node.name not in used:
+                found.append(f"{path.name}:{node.lineno} {node.name}")
+            if isinstance(node, ast.ClassDef):
+                found += [
+                    f"{path.name}:{item.lineno} {node.name}.{item.name}"
+                    for item in node.body
+                    if isinstance(item, ast.FunctionDef)
+                    and not item.name.startswith("_")
+                    and item.name not in attributes
+                ]
     assert not found, found
 
 
@@ -100,3 +111,5 @@ def test_test_only_references_left_the_library():
             assert not hasattr(stablebetti, name), name
             assert not hasattr(importlib.import_module(f"stablebetti.{module}"), name), f"{module}.{name}"
     assert not hasattr(stablebetti.GeneratorMatrix, "is_zero")
+    assert not hasattr(stablebetti.MonomialIdeal, "min_gen_degree")
+    assert not hasattr(stablebetti.MacaulayRep, "value")
