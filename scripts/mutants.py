@@ -223,6 +223,21 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "count-bit-gate-off-by-one",
+        ENUMERATION,
+        "(cap + 2).bit_length() <= max(n, dmax) + 1",
+        # refuses a cap of exactly 2^(max+1) - 2, the count at (2, max)
+        "(cap + 1).bit_length() <= max(n, dmax) + 1",
+        ("tests/test_enumeration.py::test_count_matches_the_chain_walk_under_every_budget",),
+    ),
+    Mutant(
+        "count-bit-gate-dropped",
+        ENUMERATION,
+        "        (min(n, dmax) >= 2 and (cap + 2).bit_length() <= max(n, dmax) + 1)\n        or ",
+        "        ",
+        ("tests/test_enumeration.py::test_wide_bounds_are_refused_at_once",),
+    ),
+    Mutant(
         "count-orientation-reversed",
         ENUMERATION,
         "        n, dmax = min(n, dmax), max(n, dmax)\n",
@@ -244,6 +259,13 @@ MUTANTS = (
         "    if max(n, dmax) <= DEGREE_CAP:\n",
         "    if True:\n",
         ("tests/test_enumeration.py::test_count_keeps_the_caps_of_the_bound_as_given",),
+    ),
+    Mutant(
+        "every-command-gets-its-arguments",
+        "src/stablebetti/cli.py",
+        "    every = command not in _COMMANDS\n",
+        "    every = True\n",
+        ("tests/test_formats_cli.py::test_parser_adds_only_the_named_commands_arguments",),
     ),
     Mutant(
         "confirmation-gates-on-the-top-degree-only",

@@ -274,17 +274,11 @@ def _cmd_verify_paper(args):
     return 0
 
 
-def build_parser():
-    parser = argparse.ArgumentParser(
-        prog="stablebetti",
-        description="Graded Betti tables of monomial ideals, exactly",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+def _add_budget(p, default):
+    p.add_argument("--budget", type=_budget, default=default, help="resource budget; 0 allows nothing")
 
-    def add_budget(q, default):
-        q.add_argument("--budget", type=_budget, default=default, help="resource budget; 0 allows nothing")
 
-    p = sub.add_parser("macaulay", help="representations, shifts, O-sequence tests")
+def _macaulay_args(p):
     p.set_defaults(func=_cmd_macaulay)
     msub = p.add_subparsers(dest="what", required=True)
     q = msub.add_parser("rep")
@@ -300,32 +294,37 @@ def build_parser():
     q.add_argument("vector")
     q.add_argument("--json", action="store_true")
 
-    p = sub.add_parser("betti", help="Betti table of an ideal file")
+
+def _betti_args(p):
     p.add_argument("ideal_file")
     p.add_argument("--method", choices=["ek", "oracle", "both"], default="ek")
     # the JSON form has no quotient convention
     shape = p.add_mutually_exclusive_group()
     shape.add_argument("--quotient", action="store_true", help="render in the quotient convention")
     shape.add_argument("--json", action="store_true")
-    add_budget(p, DEFAULT_BUDGET)
+    _add_budget(p, DEFAULT_BUDGET)
     p.set_defaults(func=_cmd_betti)
 
-    p = sub.add_parser("matrix", help="matrix of generators of a strongly stable ideal")
+
+def _matrix_args(p):
     p.add_argument("ideal_file")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_matrix)
 
-    p = sub.add_parser("check-matrix", help="necessary (or lexsegment) conditions on a matrix")
+
+def _check_matrix_args(p):
     p.add_argument("matrix_file")
     p.add_argument("--lex", action="store_true", help="check the lexsegment characterization")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_check_matrix)
 
-    p = sub.add_parser("realize-matrix", help="greedy realization of a matrix of generators")
+
+def _realize_matrix_args(p):
     p.add_argument("matrix_file")
     p.set_defaults(func=_cmd_realize_matrix)
 
-    p = sub.add_parser("construct", help="build one of the named ideals")
+
+def _construct_args(p):
     p.set_defaults(func=_cmd_construct)
     csub = p.add_subparsers(dest="construction", required=True)
     q = csub.add_parser("piecewise-lex")
@@ -343,7 +342,8 @@ def build_parser():
     q.add_argument("--d", type=int, required=True)
     q.add_argument("--mu", type=int, required=True)
 
-    p = sub.add_parser("extremal", help="decide or realize an extremal profile")
+
+def _extremal_args(p):
     esub = p.add_subparsers(dest="what", required=True)
     for what in ("check", "construct"):
         q = esub.add_parser(what)
@@ -358,14 +358,16 @@ def build_parser():
         )
         q.set_defaults(func=_cmd_extremal)
 
-    p = sub.add_parser("enumerate", help="stream all strongly stable ideals within bounds")
+
+def _enumerate_args(p):
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--dmax", type=int, required=True)
     p.add_argument("--count-only", action="store_true")
-    add_budget(p, None)  # None keeps the enumeration's default caps
+    _add_budget(p, None)  # None keeps the enumeration's default caps
     p.set_defaults(func=_cmd_enumerate)
 
-    p = sub.add_parser("search", help="search for an ideal matching a matrix or profile")
+
+def _search_args(p):
     p.set_defaults(func=_cmd_search)
     ssub = p.add_subparsers(dest="target", required=True)
     q = ssub.add_parser("matrix")
@@ -374,17 +376,54 @@ def build_parser():
     q.add_argument("--profile", required=True)
     q.add_argument("--n", type=int, required=True)
 
-    p = sub.add_parser("verify-paper", help="replay the built-in reference fixtures")
+
+def _verify_paper_args(p):
     p.add_argument("--json", action="store_true")
-    add_budget(p, DEFAULT_BUDGET)
+    _add_budget(p, DEFAULT_BUDGET)
     p.set_defaults(func=_cmd_verify_paper)
 
+
+# command -> (help, the function that adds its arguments), in help order
+_COMMANDS = {
+    "macaulay": ("representations, shifts, O-sequence tests", _macaulay_args),
+    "betti": ("Betti table of an ideal file", _betti_args),
+    "matrix": ("matrix of generators of a strongly stable ideal", _matrix_args),
+    "check-matrix": ("necessary (or lexsegment) conditions on a matrix", _check_matrix_args),
+    "realize-matrix": ("greedy realization of a matrix of generators", _realize_matrix_args),
+    "construct": ("build one of the named ideals", _construct_args),
+    "extremal": ("decide or realize an extremal profile", _extremal_args),
+    "enumerate": ("stream all strongly stable ideals within bounds", _enumerate_args),
+    "search": ("search for an ideal matching a matrix or profile", _search_args),
+    "verify-paper": ("replay the built-in reference fixtures", _verify_paper_args),
+}
+
+
+def build_parser(command=None):
+    """The argument parser.  Every command is registered with its help, so
+    the top-level help and the errors for a missing or unknown command
+    read the same for any command; only the named command gets its
+    arguments, subcommands and defaults, or every command when command
+    names none (None, or an option that comes before the command, whose
+    errors are those of the whole tree)."""
+    parser = argparse.ArgumentParser(
+        prog="stablebetti",
+        description="Graded Betti tables of monomial ideals, exactly",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    every = command not in _COMMANDS
+    for name, (help_text, add_arguments) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if every or name == command:
+            add_arguments(p)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    # argv[0] names the command unless an option comes first; build_parser
+    # then builds every command
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.func(args)
     except (MalformedInputError, DomainError) as exc:

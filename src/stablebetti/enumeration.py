@@ -32,6 +32,14 @@ most n, so conjugation makes the count at (n, dmax) equal the one at
 (dmax, n), and counting runs with no more variables than degrees, the
 orientation whose top layer, binom(n + dmax - 1, dmax), is the smaller.
 
+The count refuses a budget below either of two lower bounds on it
+before it builds a layer: binom(n + dmax, dmax) - 1, the number of
+monomials of degree 1..dmax, each of which generates its own ideal, and,
+when min(n, dmax) >= 2, 2^(max(n, dmax)+1) - 2, the count at
+(2, max(n, dmax)), since the count grows with n and with dmax and is
+symmetric in them.  The second reads the budget's bit length, so a wide
+bound is refused in constant time.
+
 Enumeration gates through the count, then lists its ideals by maximal
 generator degree d = 1..dmax.  An ideal of bucket d is a lower part, the
 ideal of its generators below degree d (or nothing), plus a nonempty set
@@ -290,10 +298,13 @@ def count_strongly_stable(n, dmax, budget=None) -> int:
             partial_count=0,
         )
     cap = DEFAULT_BUDGET if budget is None else _checked_int("budget", budget)
-    # each monomial u of degree 1..dmax generates its own ideal (the Borel
-    # closure of u has u as its one Borel-minimal generator), so a cap
-    # below their number fails here as _count would fail on it later
-    if binom(n + dmax, dmax) - 1 > cap:
+    # a cap below either lower bound of the module docstring fails here,
+    # as _count would fail on it later; 2^(m+1) - 2 > cap exactly when
+    # cap + 2 has at most m + 1 bits
+    if (
+        (min(n, dmax) >= 2 and (cap + 2).bit_length() <= max(n, dmax) + 1)
+        or binom(n + dmax, dmax) - 1 > cap
+    ):
         raise BudgetExceededError(
             f"enumeration exceeded the budget of {cap} ideals", partial_count=cap
         )

@@ -206,14 +206,15 @@ def test_small_budget_stops_a_wide_top_layer_at_once():
 
 def _record_builds(monkeypatch):
     """The (n, d) of each layer built from here on, none cached; a layer
-    above degree 5 fails the test at once instead of being built."""
+    above degree 5 or of more than 5,000 monomials fails the test at once
+    instead of being built."""
     built = []
 
     class RecordedLayer(enumeration._Layer):
         __slots__ = ()
 
         def __init__(self, n, d):
-            if d > 5:
+            if d > 5 or math.comb(n + d - 1, d) > 5000:
                 raise AssertionError(f"built layer ({n}, {d})")
             built.append((n, d))
             super().__init__(n, d)
@@ -257,6 +258,29 @@ def test_refused_count_builds_no_layer_above_its_stop(monkeypatch):
             "enumeration exceeded the budget of 200000 ideals", 200_000
         )
         assert built == [(10, d) for d in range(1, 5)]
+
+
+def test_wide_bounds_are_refused_at_once(monkeypatch):
+    # with min(n, dmax) >= 2 a bound holds at least the 2^(max+1) - 2
+    # ideals of (2, max): (400, 2) passes the monomial gate at 80,600,
+    # and counting it built the 80,200 monomials of degree 2 (1.5 GiB);
+    # (4 * 10**5, 4 * 10**5) spent seconds on its binomial before refusing
+    built = _record_builds(monkeypatch)
+    for run in (
+        lambda: count_strongly_stable(400, 2, budget=10**6),
+        lambda: next(enumerate_strongly_stable(2, 400, budget=10**6)),
+    ):
+        with pytest.raises(sb.BudgetExceededError) as err:
+            run()
+        assert (str(err.value), err.value.partial_count) == (
+            "enumeration exceeded the budget of 1000000 ideals", 10**6
+        )
+    assert built == []
+    start = time.perf_counter()
+    with pytest.raises(sb.BudgetExceededError) as err:
+        count_strongly_stable(4 * 10**5, 4 * 10**5, budget=10)
+    assert err.value.partial_count == 10
+    assert time.perf_counter() - start < 0.1
 
 
 def test_search_miss_builds_no_layer_above_its_stop(monkeypatch):

@@ -1,11 +1,12 @@
 import json
+import sys
 import time
 
 import pytest
 
 import stablebetti as sb
 from stablebetti.betti import corners_from_counts
-from stablebetti.cli import main
+from stablebetti.cli import build_parser, main
 from stablebetti.formats import (
     format_ideal,
     format_matrix,
@@ -451,3 +452,76 @@ def test_cli_matrix_rejects_unstable(tmp_path, capsys):
     path.write_text("n=2\n0 2\n")
     code, _, err = run_cli(capsys, "matrix", str(path))
     assert code == 2 and "strongly stable" in err
+
+
+COMMANDS = (
+    "macaulay", "betti", "matrix", "check-matrix", "realize-matrix",
+    "construct", "extremal", "enumerate", "search", "verify-paper",
+)
+
+# every command and nested subcommand, each with all of its options
+ARGVS = (
+    ["macaulay", "rep", "5", "2", "--json"],
+    ["macaulay", "shift", "3", "2", "1", "--json"],
+    ["macaulay", "oseq", "1,3,6", "--json"],
+    ["betti", "i.txt", "--method", "both", "--json", "--budget", "5"],
+    ["betti", "i.txt", "--quotient"],
+    ["matrix", "i.txt", "--json"],
+    ["check-matrix", "m.txt", "--lex", "--json"],
+    ["realize-matrix", "m.txt"],
+    ["construct", "piecewise-lex", "--d", "2", "--counts", "1,2"],
+    ["construct", "murai", "--counts", "1,2"],
+    ["construct", "u-ideal", "--n", "3", "--ell", "1", "--k", "1", "--d", "2"],
+    ["construct", "lexsegment", "--n", "3", "--d", "2", "--mu", "4"],
+    ["extremal", "check", "--profile", "1,3,2", "--n", "3", "--json", "--confirm"],
+    ["extremal", "construct", "--profile", "1,3,2", "--n", "3", "--confirm"],
+    ["enumerate", "--n", "3", "--dmax", "3", "--count-only", "--budget", "10"],
+    ["search", "matrix", "m.txt"],
+    ["search", "profile", "--profile", "1,3,2", "--n", "3"],
+    ["verify-paper", "--json", "--budget", "7"],
+)
+
+
+def test_parser_of_the_command_parses_as_the_whole_tree():
+    assert sorted({argv[0] for argv in ARGVS}) == sorted(COMMANDS)
+    for argv in ARGVS:
+        assert vars(build_parser(argv[0]).parse_args(argv)) == vars(build_parser().parse_args(argv))
+
+
+def _exit(capsys, parse, argv):
+    with pytest.raises(SystemExit) as exc:
+        parse(argv)
+    out = capsys.readouterr()
+    return exc.value.code, out.out, out.err
+
+
+def test_cli_help_and_parse_errors_match_the_whole_tree(capsys):
+    nested = [argv[:2] for argv in ARGVS if argv[0] in ("macaulay", "construct", "extremal", "search")]
+    helps = [["-h"]] + [[c, "-h"] for c in COMMANDS] + [argv + ["-h"] for argv in nested]
+    errors = (
+        [],  # no command
+        ["bogus"],
+        ["--json", "betti", "i.txt"],  # an option before the command
+        ["enumerate", "--n", "3"],  # a missing required argument
+        ["betti", "i.txt", "--method", "nope"],
+    )
+    for argv in helps + list(errors):
+        code, out, err = _exit(capsys, main, argv)
+        assert (code, out, err) == _exit(capsys, build_parser().parse_args, argv), argv
+        # help goes to stdout with status 0, a parse error to stderr with 2
+        assert (code, bool(out), bool(err)) == ((0, True, False) if "-h" in argv else (2, False, True))
+
+
+def test_cli_main_reads_sys_argv(monkeypatch, capsys):
+    monkeypatch.setattr(sys, "argv", ["stablebetti", "macaulay", "oseq", "1,3,6"])
+    assert main() == 0
+    assert capsys.readouterr().out == "true\n"
+
+
+def test_parser_adds_only_the_named_commands_arguments():
+    # every command is registered, but the others have no arguments, no
+    # subcommands and no defaults: each parses alone to its name only
+    parser = build_parser("betti")
+    for command in COMMANDS:
+        if command != "betti":
+            assert vars(parser.parse_args([command])) == {"command": command}
