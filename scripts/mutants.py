@@ -203,6 +203,26 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "oracle-vertex-rank-read-as-zero",
+        ORACLE,
+        "    boundary = {0: int(0 in faces_by_dim)}\n",
+        "    boundary = {0: 0}\n",
+        (
+            "tests/test_oracle.py::test_mask_ranks_match_reference_homology",
+            "tests/test_oracle.py::test_oracle_small_ideals",
+        ),
+    ),
+    Mutant(
+        "oracle-boundary-sign-constant",
+        ORACLE,
+        "            sign = -sign\n",
+        "",
+        (
+            "tests/test_oracle.py::test_mask_ranks_match_reference_homology",
+            "tests/test_oracle.py::test_rp2_table_is_characteristic_zero",
+        ),
+    ),
+    Mutant(
         "filters-short-count-not-cut",
         ENUMERATION,
         ".bit_count() < tgt:\n                break\n",
@@ -339,6 +359,14 @@ MUTANTS = (
         "    layers = [_layer(n, 1)]\n",
         "    layers = _walk_layers(n, len(specs))\n",
         ("tests/test_enumeration.py::test_search_miss_builds_no_layer_above_its_stop",),
+    ),
+    # a search walks only the variables its pins use
+    Mutant(
+        "search-walks-all-variables",
+        ENUMERATION,
+        "    m = max((c for spec in specs for c, tgt in enumerate(spec, 1) if tgt != 0), default=1)\n",
+        "    m = n\n",
+        ("tests/test_enumeration.py::test_search_builds_only_the_pinned_variables",),
     ),
     # the public API is what a program calls
     Mutant(

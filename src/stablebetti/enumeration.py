@@ -57,7 +57,7 @@ elements of B_d outside the shadow).  A generator-matrix target pins
 them through m_{i,d} = mu_{i,d} - sum_{q<=i} mu_{q,d-1}; an extremal
 profile pins each of them to its corner value, to free or to zero.  The
 pins alone decide a hit, so either search answers with the walk's first
-chain.
+chain, walked on the variables up to the last class a pin leaves open.
 """
 
 from __future__ import annotations
@@ -406,6 +406,22 @@ def _first_chain(n, specs, miss) -> SearchOutcome:
     return SearchOutcome(MonomialIdeal(n, _generators(layers, masks)))
 
 
+def _search(n, specs, miss) -> SearchOutcome:
+    """_first_chain on x_1..x_m only, m the largest class with a pin
+    other than 0 at some degree, each generator padded with n - m zeros.
+    A chain meeting the pins has no generator of a class above m, and
+    the layer positions of classes <= m keep their order among
+    themselves, so the walk meets the same first chain without building
+    the layers of the classes the pins rule out.  The gate of
+    _first_chain reads the same pins either way: those it drops are 0."""
+    m = max((c for spec in specs for c, tgt in enumerate(spec, 1) if tgt != 0), default=1)
+    outcome = _first_chain(m, [spec[:m] for spec in specs], miss)
+    if not outcome.ok or m == n:
+        return outcome
+    pad = (0,) * (n - m)
+    return SearchOutcome(MonomialIdeal(n, [g + pad for g in outcome.found.gens]))
+
+
 def search_matrix(M: GeneratorMatrix) -> SearchOutcome:
     """First strongly stable ideal whose matrix of generators equals M.
 
@@ -420,7 +436,7 @@ def search_matrix(M: GeneratorMatrix) -> SearchOutcome:
     # row d-1, so the new generators pin row d; at the last row each
     # chain has exactly this matrix
     specs = [new_generator_row(canon, d) for d in range(1, canon.jmax + 1)]
-    return _first_chain(canon.n, specs, "no strongly stable ideal has this matrix of generators")
+    return _search(canon.n, specs, "no strongly stable ideal has this matrix of generators")
 
 
 def _profile_specs(profile):
@@ -444,7 +460,7 @@ def search_extremal_profile(profile) -> SearchOutcome:
     walks through the largest corner degree j_1 and is complete: the top
     nonzero row of a Betti table always contains an extremal corner, so a
     realizing ideal has no generators above j_1."""
-    return _first_chain(
+    return _search(
         profile.n, _profile_specs(profile),
         "no strongly stable ideal (hence, in characteristic 0, no homogeneous "
         "ideal) has exactly these extremal corners",

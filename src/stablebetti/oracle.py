@@ -6,15 +6,17 @@ the ideal at the multidegree b: the squarefree subsets tau of the support
 of b with x^b / x^tau in the ideal.  A generator g divides x^b / x^tau
 exactly when g divides x^b and tau lies in {t : g_t < b_t}, so these sets,
 over the generators dividing x^b, are the facets of the complex; no
-membership test is made.  Summing over the multidegrees dividing the lcm
-of the generators (all Betti multidegrees do) gives the graded table.
-Homology is computed over the rationals via exact fraction-free integer
-elimination, realizing the characteristic-0 convention.
+membership test is made, and each face is an int bitmask over the
+variables.  Summing over the multidegrees dividing the lcm of the
+generators (all Betti multidegrees do) gives the graded table.  Homology
+is computed over the rationals via exact fraction-free integer
+elimination, realizing the characteristic-0 convention; only the map
+from the vertices onto the empty face needs none, having rank 1.
 """
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import product
 from operator import le
 
 from .betti import BettiTable
@@ -23,22 +25,25 @@ from .ideals import MonomialIdeal
 
 
 def _koszul_faces(gens, b):
-    """Faces of the upper Koszul complex at b, as sets of 1-based variable
-    indices: every subset of a facet {t : g_t < b_t} of a generator g
-    dividing x^b.  None when the complex has no homology to read: no
-    generator divides x^b (void), or some facet is the whole support of b
-    (a full simplex, which is contractible)."""
+    """Faces of the upper Koszul complex at b, as bitmasks over the
+    variables (bit t for x_{t+1}): every submask of a facet
+    {t : g_t < b_t} of a generator g dividing x^b.  None when the complex
+    has no homology to read: no generator divides x^b (void), or some
+    facet is the whole support of b (a full simplex, which is
+    contractible)."""
     dividing = [g for g in gens if all(map(le, g, b))]
     if not dividing:
         return None
-    supp = frozenset(t + 1 for t, f in enumerate(b) if f)
-    facets = {frozenset(t + 1 for t, (e, f) in enumerate(zip(g, b)) if e < f) for g in dividing}
+    supp = sum(1 << t for t, f in enumerate(b) if f)
+    facets = {sum(1 << t for t, (e, f) in enumerate(zip(g, b)) if e < f) for g in dividing}
     if supp in facets:
         return None
-    faces = set()
+    faces = {0}
     for facet in facets:
-        for r in range(len(facet) + 1):
-            faces.update(map(frozenset, combinations(facet, r)))
+        s = facet
+        while s:
+            faces.add(s)
+            s = (s - 1) & facet
     return faces
 
 
@@ -73,7 +78,8 @@ def integer_matrix_rank(rows) -> int:
 
 
 def _boundary_rank(faces_by_dim, k):
-    # rank of the boundary map C_k -> C_{k-1}; dimension -1 holds the empty face
+    # rank of the boundary map C_k -> C_{k-1}; the sign of dropping a
+    # vertex alternates over the face's set bits from the lowest
     top = faces_by_dim.get(k, [])
     bottom = faces_by_dim.get(k - 1, [])
     if not top or not bottom:
@@ -82,9 +88,13 @@ def _boundary_rank(faces_by_dim, k):
     rows = []
     for face in top:
         row = [0] * len(bottom)
-        verts = sorted(face)
-        for pos, v in enumerate(verts):
-            row[index[frozenset(face - {v})]] = (-1) ** pos
+        sign = 1
+        rest = face
+        while rest:
+            low = rest & -rest
+            row[index[face ^ low]] = sign
+            sign = -sign
+            rest ^= low
         rows.append(row)
     return integer_matrix_rank(rows)
 
@@ -92,9 +102,12 @@ def _boundary_rank(faces_by_dim, k):
 def _ranks_from_faces(faces):
     faces_by_dim = {}
     for f in faces:
-        faces_by_dim.setdefault(len(f) - 1, []).append(f)
+        faces_by_dim.setdefault(f.bit_count() - 1, []).append(f)
     top = max(faces_by_dim)
-    boundary = {k: _boundary_rank(faces_by_dim, k) for k in range(0, top + 2)}
+    # dimension -1 holds the empty face, onto which every vertex maps with
+    # sign 1, so that map has rank 1 exactly when there is a vertex
+    boundary = {0: int(0 in faces_by_dim)}
+    boundary.update((k, _boundary_rank(faces_by_dim, k)) for k in range(1, top + 2))
     ranks = {}
     for k in range(-1, top + 1):
         nk = len(faces_by_dim.get(k, []))

@@ -8,7 +8,7 @@ import pytest
 
 import stablebetti as sb
 from reference import canonical_order, conjugate_generators
-from stablebetti import enumeration
+from stablebetti import cli, enumeration
 from stablebetti.betti import corners_from_counts
 from stablebetti.enumeration import (
     _chains,
@@ -296,6 +296,45 @@ def test_search_miss_builds_no_layer_above_its_stop(monkeypatch):
     out = search_matrix(GeneratorMatrix(6, 1, tuple(rows)))
     assert (out.found, out.note) == (None, MATRIX_MISS)
     assert built == [(6, 1)]
+
+
+def test_search_builds_only_the_pinned_variables(monkeypatch, capsys):
+    # classes 3..12 are pinned to zero at every degree, so the search walks
+    # x_1, x_2 alone; walking all twelve variables filled a 2 GiB address
+    # space at degree 9 and ended in MemoryError
+    built = _record_builds(monkeypatch)
+    assert cli.main(["search", "profile", "--n", "12", "--profile", "1,5,1"]) == 0
+    zeros = " 0" * 10
+    assert capsys.readouterr().out == f"n=12\n5 0{zeros}\n4 1{zeros}\n"
+    assert built == [(2, d) for d in range(1, 6)]
+
+
+def test_narrowed_search_matches_the_raw_walk():
+    # the searches walk the classes up to the last one a pin leaves open;
+    # the raw walk over all n variables meets the same first chain, on the
+    # hits and the misses of every profile and of the matrices (each one
+    # also with an entry raised) of every ideal in a few small bounds
+    cases = []
+    for n in (2, 3, 4):
+        for k in (1, 2):
+            for cols in combinations(range(1, n), k):
+                for rows in combinations(range(4, 0, -1), k):
+                    for vals in product(range(1, 4), repeat=k):
+                        profile = sb.ExtremalProfile(n, tuple(zip(cols, rows, vals)))
+                        cases.append((n, enumeration._profile_specs(profile), PROFILE_MISS))
+    for n, dmax in ((2, 4), (3, 3), (4, 2)):
+        for I in enumerate_strongly_stable(n, dmax):
+            M = sb.generator_matrix(I).canonical()
+            for last in (M.rows[-1], M.rows[-1][:-1] + (M.rows[-1][-1] + 1,)):
+                rows = GeneratorMatrix(n, M.jmin, M.rows[:-1] + (last,)).canonical()
+                specs = [new_generator_row(rows, d) for d in range(1, rows.jmax + 1)]
+                cases.append((n, specs, MATRIX_MISS))
+    hits = 0
+    for n, specs, miss in cases:
+        narrowed = enumeration._search(n, specs, miss)
+        assert narrowed == enumeration._first_chain(n, specs, miss), (n, specs)
+        hits += narrowed.ok
+    assert 0 < hits < len(cases)
 
 
 def test_walk_bounds_must_be_positive():
@@ -684,8 +723,10 @@ def test_filters_match_brute_force():
 
 def test_oversized_layers_are_not_cached():
     # the degree-5..8 layers of nine variables (1,287 to 12,870 monomials)
-    # that this search builds must not outlive it
-    assert search_extremal_profile(sb.ExtremalProfile(9, ((1, 8, 1),))).ok
+    # that the raw walk of this search builds must not outlive it (the
+    # search itself walks only x_1, x_2)
+    specs = enumeration._profile_specs(sb.ExtremalProfile(9, ((1, 8, 1),)))
+    assert enumeration._first_chain(9, specs, PROFILE_MISS).ok
     sizes = {key: len(layer.mons) for key, layer in enumeration._layers.items()}
     assert all(size <= enumeration._CACHED_LAYER_SIZE for size in sizes.values())
     assert (9, 4) in sizes and (9, 5) not in sizes

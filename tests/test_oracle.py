@@ -1,15 +1,15 @@
 import random
 import tracemalloc
-from itertools import product
+from itertools import combinations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import stablebetti as sb
 from stablebetti.ideals import MonomialIdeal, class_degree_counts
 from stablebetti.macaulay import binom
-from stablebetti.oracle import _koszul_faces, integer_matrix_rank, oracle_betti
+from stablebetti.oracle import _koszul_faces, _ranks_from_faces, integer_matrix_rank, oracle_betti
 
 from reference import (
     SimplicialComplexSmall,
@@ -122,10 +122,56 @@ def test_koszul_faces_match_reference(corpus_n3):
         for b in product(*(range(e + 1) for e in lcm)):
             ref = upper_koszul(I, b).faces
             got = _koszul_faces(I.gens, b)
+            if got is not None:
+                # bit t of a mask stands for the 1-based index t + 1
+                got = {frozenset(t + 1 for t in range(I.n) if f >> t & 1) for f in got}
             if not ref or len(ref) == 2 ** sum(1 for e in b if e):
                 assert got is None, (I, b)
             else:
                 assert got == ref, (I, b)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(min_value=0, max_value=63), max_size=6))
+@example([])  # the complex {empty face}
+@example([0b100])  # a lone vertex
+def test_mask_ranks_match_reference_homology(facets):
+    # the faces are every submask of the facets on six vertices (bit t is
+    # vertex t + 1), plus the empty face
+    faces = {0}
+    for facet in facets:
+        faces.update(s for s in range(facet + 1) if s & facet == s)
+    ref = SimplicialComplexSmall(
+        tuple(range(1, 7)),
+        frozenset(frozenset(t + 1 for t in range(6) if f >> t & 1) for f in faces),
+    )
+    assert _ranks_from_faces(faces) == reduced_homology_ranks(ref)
+
+
+def test_rp2_table_is_characteristic_zero():
+    # the Stanley-Reisner ideal of the 6-vertex real projective plane: its
+    # ten triangles hold every edge twice, and the ten other triangles are
+    # the minimal non-faces.  Over GF(2) the plane has homology in
+    # dimensions 1 and 2, which adds (2, 6): 1 and (3, 6): 1 to the table,
+    # so a modular rank anywhere in the oracle fails here
+    triangles = {
+        frozenset(t) for t in ((1, 2, 3), (1, 3, 4), (1, 4, 5), (1, 5, 6), (1, 2, 6),
+                               (2, 3, 5), (2, 4, 5), (2, 4, 6), (3, 4, 6), (3, 5, 6))
+    }
+    gens = [
+        tuple(int(v in t) for v in range(1, 7))
+        for t in combinations(range(1, 7), 3) if frozenset(t) not in triangles
+    ]
+    I = MonomialIdeal(6, gens)
+    expected = {(0, 3): 10, (1, 4): 15, (2, 5): 6}
+    assert oracle_betti(I).entries == expected
+    entries = {}
+    for b in product(range(2), repeat=6):
+        for dim, rank in reduced_homology_ranks(upper_koszul(I, b)).items():
+            if rank:
+                key = (dim + 1, sum(b))
+                entries[key] = entries.get(key, 0) + rank
+    assert entries == expected
 
 
 def test_oracle_budget_boundary():
