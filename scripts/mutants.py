@@ -153,11 +153,29 @@ MUTANTS = (
         ("tests/test_verify_fixtures.py::test_each_profile_is_checked_once",),
     ),
     Mutant(
+        "twin-comparison-dropped",
+        "src/stablebetti/verify.py",
+        "        if twin is None or _entries(twin) != got:\n",
+        "        if False:\n",
+        ("tests/test_verify_fixtures.py::test_twin_with_another_table_fails_in_either_order",),
+    ),
+    Mutant(
         "matrix-header-key-repeats",
         "src/stablebetti/formats.py",
         '    if len(fields) != len(head) or set(fields) != {"n", "jmin"}:\n',
         '    if set(fields) != {"n", "jmin"}:\n',
         ("tests/test_formats_cli.py::test_parse_matrix",),
+    ),
+    Mutant(
+        "int-field-reader-catches-the-wrong-error",
+        "src/stablebetti/formats.py",
+        "    except ValueError:\n        raise MalformedInputError(message)\n",
+        "    except TypeError:\n        raise MalformedInputError(message)\n",
+        (
+            "tests/test_formats_cli.py::test_parse_ideal_errors",
+            "tests/test_formats_cli.py::test_parse_profile",
+            "tests/test_formats_cli.py::test_cli_construct",
+        ),
     ),
     # the premise that keeps every greedy class from running out
     Mutant(
@@ -290,7 +308,7 @@ MUTANTS = (
     Mutant(
         "confirmation-gates-on-the-top-degree-only",
         "src/stablebetti/cli.py",
-        "    if profile.n > DEFAULT_ENUM_N or j1 > DEFAULT_ENUM_DMAX:\n",
+        "    if profile.triples[-1][0] + 1 > DEFAULT_ENUM_N or j1 > DEFAULT_ENUM_DMAX:\n",
         "    if j1 > DEFAULT_ENUM_DMAX:\n",
         ("tests/test_formats_cli.py::test_cli_extremal_confirmation",),
     ),
@@ -356,8 +374,8 @@ MUTANTS = (
     Mutant(
         "search-builds-every-layer-first",
         ENUMERATION,
-        "    layers = [_layer(n, 1)]\n",
-        "    layers = _walk_layers(n, len(specs))\n",
+        "    layers = [_layer(m, 1)]\n",
+        "    layers = _walk_layers(m, len(specs))\n",
         ("tests/test_enumeration.py::test_search_miss_builds_no_layer_above_its_stop",),
     ),
     # a search walks only the variables its pins use

@@ -38,6 +38,7 @@ from .errors import (
     MalformedInputError,
 )
 from .formats import (
+    _int_fields,
     format_ideal,
     format_matrix,
     parse_ideal_text,
@@ -70,10 +71,8 @@ def _budget(text):
 
 
 def _parse_counts(text):
-    try:
-        counts = tuple(int(p) for p in text.replace(";", ",").split(",") if p.strip())
-    except ValueError:
-        raise MalformedInputError(f"bad count vector {text!r}")
+    fields = [p for p in text.replace(";", ",").split(",") if p.strip()]
+    counts = _int_fields(fields, f"bad count vector {text!r}")
     if not counts:
         raise MalformedInputError("empty count vector")
     return counts
@@ -176,10 +175,10 @@ def _cmd_construct(args):
 def _search_confirmation(profile):
     """Optional second opinion on an infeasible verdict: exhaustive search
     within the certifying bounds, offered only within enumeration's
-    default bound, since the search walks the chains of (n, j_1)."""
+    default bound, since the search walks the chains of (i_k + 1, j_1)."""
     j1 = profile.triples[0][1]
-    if profile.n > DEFAULT_ENUM_N or j1 > DEFAULT_ENUM_DMAX:
-        bound = f"n <= {DEFAULT_ENUM_N} and corner degrees <= {DEFAULT_ENUM_DMAX}"
+    if profile.triples[-1][0] + 1 > DEFAULT_ENUM_N or j1 > DEFAULT_ENUM_DMAX:
+        bound = f"i_k + 1 <= {DEFAULT_ENUM_N} and corner degrees <= {DEFAULT_ENUM_DMAX}"
         return f"search confirmation only offered for {bound}"
     outcome = search_extremal_profile(profile)
     if outcome.found is None:
@@ -259,7 +258,7 @@ def _cmd_search(args):
 
 
 def _cmd_verify_paper(args):
-    results = run_fixtures(budget=args.budget)
+    results = run_fixtures()
     if args.json:
         print(json.dumps([asdict(r) for r in results]))
     else:
@@ -267,11 +266,7 @@ def _cmd_verify_paper(args):
             print(f"{r.status.upper():4} {r.name}: {r.detail}")
         npass = sum(r.ok for r in results)
         print(f"{npass}/{len(results)} fixtures passed")
-    if any(r.status == "fail" for r in results):
-        return 1
-    if any(r.status == "skip" for r in results):
-        return 3
-    return 0
+    return 0 if all(r.ok for r in results) else 1
 
 
 def _add_budget(p, default):
@@ -379,7 +374,6 @@ def _search_args(p):
 
 def _verify_paper_args(p):
     p.add_argument("--json", action="store_true")
-    _add_budget(p, DEFAULT_BUDGET)
     p.set_defaults(func=_cmd_verify_paper)
 
 

@@ -56,8 +56,10 @@ Searches prune with per-degree, per-class counts of new generators (the
 elements of B_d outside the shadow).  A generator-matrix target pins
 them through m_{i,d} = mu_{i,d} - sum_{q<=i} mu_{q,d-1}; an extremal
 profile pins each of them to its corner value, to free or to zero.  The
-pins alone decide a hit, so either search answers with the walk's first
-chain, walked on the variables up to the last class a pin leaves open.
+pins alone decide a hit, so both searches enter the walk through one
+function, which walks the variables up to the last class a pin leaves
+open and builds the walk's first chain, the hit if there is one, as an
+ideal in all n variables.
 """
 
 from __future__ import annotations
@@ -389,37 +391,29 @@ class SearchOutcome:
         return int(self.ok)
 
 
-def _first_chain(n, specs, miss) -> SearchOutcome:
+def _search(n, specs, miss) -> SearchOutcome:
     """The walk's first chain under specs, the per-class pins of degrees
-    1..len(specs), as a hit; or a none-report with note miss.  Every
-    search pins some degree to a positive count, so the chain is never
-    the empty one.  A pin outside 0..class_size misses before any layer
-    is built: no walk could meet it, though one could run long to find
-    that out."""
+    1..len(specs), as a hit in n variables; or a none-report with note
+    miss.  Every search pins some degree to a positive count, so the
+    chain is never the empty one.  The walk runs on x_1..x_m, m the
+    largest class with a pin other than 0: a chain meeting the pins has
+    no generator above class m, and the layer positions of classes <= m
+    keep their order, so it meets the first chain of the walk on all n
+    variables without building the layers the pins rule out.  A pin
+    outside 0..class_size (the pins dropped are 0) misses before any
+    layer is built: no walk could meet it, though one could run long to
+    find that out."""
+    m = max((c for spec in specs for c, tgt in enumerate(spec, 1) if tgt != 0), default=1)
+    specs = [spec[:m] for spec in specs]
     if any(tgt is not None and not 0 <= tgt <= class_size(c, d)
            for d, spec in enumerate(specs, 1) for c, tgt in enumerate(spec, 1)):
         return SearchOutcome(None, miss)
-    layers = [_layer(n, 1)]
+    layers = [_layer(m, 1)]
     masks = next(_chains(layers, specs), None)
     if masks is None:
         return SearchOutcome(None, miss)
-    return SearchOutcome(MonomialIdeal(n, _generators(layers, masks)))
-
-
-def _search(n, specs, miss) -> SearchOutcome:
-    """_first_chain on x_1..x_m only, m the largest class with a pin
-    other than 0 at some degree, each generator padded with n - m zeros.
-    A chain meeting the pins has no generator of a class above m, and
-    the layer positions of classes <= m keep their order among
-    themselves, so the walk meets the same first chain without building
-    the layers of the classes the pins rule out.  The gate of
-    _first_chain reads the same pins either way: those it drops are 0."""
-    m = max((c for spec in specs for c, tgt in enumerate(spec, 1) if tgt != 0), default=1)
-    outcome = _first_chain(m, [spec[:m] for spec in specs], miss)
-    if not outcome.ok or m == n:
-        return outcome
     pad = (0,) * (n - m)
-    return SearchOutcome(MonomialIdeal(n, [g + pad for g in outcome.found.gens]))
+    return SearchOutcome(MonomialIdeal(n, [g + pad for g in _generators(layers, masks)]))
 
 
 def search_matrix(M: GeneratorMatrix) -> SearchOutcome:

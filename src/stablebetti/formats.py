@@ -14,6 +14,14 @@ from .extremal import ExtremalProfile
 from .ideals import GeneratorMatrix, MonomialIdeal, minimalize
 
 
+def _int_fields(fields, message) -> tuple:
+    """The text fields as ints; MalformedInputError(message) if one is not."""
+    try:
+        return tuple(int(p) for p in fields)
+    except ValueError:
+        raise MalformedInputError(message)
+
+
 def _significant_lines(text):
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -28,16 +36,8 @@ def parse_ideal_text(text: str) -> MonomialIdeal:
     head = lines[0].replace(" ", "")
     if not head.startswith("n="):
         raise MalformedInputError('ideal file must start with "n=<int>"')
-    try:
-        n = int(head[2:])
-    except ValueError:
-        raise MalformedInputError(f"bad variable count {head[2:]!r}")
-    gens = []
-    for line in lines[1:]:
-        try:
-            gens.append(tuple(int(p) for p in line.split()))
-        except ValueError:
-            raise MalformedInputError(f"bad exponent line {line!r}")
+    (n,) = _int_fields([head[2:]], f"bad variable count {head[2:]!r}")
+    gens = [_int_fields(line.split(), f"bad exponent line {line!r}") for line in lines[1:]]
     try:
         return minimalize(n, gens)
     except StableBettiError as exc:
@@ -60,16 +60,8 @@ def parse_matrix_text(text: str) -> GeneratorMatrix:
     fields = dict(part.split("=", 1) for part in head)
     if len(fields) != len(head) or set(fields) != {"n", "jmin"}:
         raise MalformedInputError('matrix header must define "n" and "jmin", each once')
-    try:
-        n, jmin = int(fields["n"]), int(fields["jmin"])
-    except ValueError:
-        raise MalformedInputError("bad matrix header")
-    rows = []
-    for line in lines[1:]:
-        try:
-            rows.append(tuple(int(p) for p in line.split()))
-        except ValueError:
-            raise MalformedInputError(f"bad matrix row {line!r}")
+    n, jmin = _int_fields((fields["n"], fields["jmin"]), "bad matrix header")
+    rows = [_int_fields(line.split(), f"bad matrix row {line!r}") for line in lines[1:]]
     if not rows:
         raise MalformedInputError("matrix file lists no rows")
     try:
@@ -93,10 +85,7 @@ def parse_profile(text: str, n: int) -> ExtremalProfile:
         parts = chunk.split(",")
         if len(parts) != 3:
             raise MalformedInputError(f"profile triple {chunk!r} must be i,j,b")
-        try:
-            triples.append(tuple(int(p) for p in parts))
-        except ValueError:
-            raise MalformedInputError(f"bad profile triple {chunk!r}")
+        triples.append(_int_fields(parts, f"bad profile triple {chunk!r}"))
     if not triples:
         raise MalformedInputError("empty profile")
     try:

@@ -4,8 +4,7 @@ The fixtures replay, as data, the worked examples this library is built
 around: the twin Betti tables, the two generator-matrix obstructions, the
 piecewise lexsegment whose shadow loses the property, spot values of the
 shift operators, and the two-corner extremal example including its
-adjudicated prefix-sum count.  Each fixture reports pass, fail or skip;
-a skip happens only when a resource budget is hit.
+adjudicated prefix-sum count.  Each fixture reports pass or fail.
 """
 
 from __future__ import annotations
@@ -21,13 +20,13 @@ from .constructions import (
     subring_lexsegment_ideal,
 )
 from .enumeration import search_extremal_profile, search_matrix
-from .errors import DEFAULT_BUDGET, BudgetExceededError, InfeasibleProfileError
+from .errors import InfeasibleProfileError
 from .extremal import (
     ExtremalProfile,
     check_profile,
+    forced_counts,
     nested_lex_ideal,
     verify_profile,
-    witness_count_vector,
 )
 from .ideals import (
     GeneratorMatrix,
@@ -37,7 +36,7 @@ from .ideals import (
     is_strongly_stable,
     times_maximal,
 )
-from .macaulay import iterated_cumsum_last, macaulay_shift, min_shift_preimage
+from .macaulay import macaulay_shift, min_shift_preimage
 from .monomials import max_index
 from .oracle import oracle_betti
 
@@ -45,7 +44,7 @@ from .oracle import oracle_betti
 @dataclass(frozen=True)
 class FixtureResult:
     name: str
-    status: str  # "pass" | "fail" | "skip"
+    status: str  # "pass" | "fail"
     detail: str
 
     @property
@@ -62,21 +61,28 @@ def _ideal(obj):
     return MonomialIdeal(obj["n"], obj["gens"])
 
 
-def _run_betti_table(fx, budget, context):
+def _entries(fx):
+    return sorted([list(e) for e in fx["expected"]])
+
+
+def _run_betti_table(fx):
     I = _ideal(fx["ideal"])
-    table = ek_betti(I) if fx["method"] == "ek" else oracle_betti(I, budget=budget)
+    table = ek_betti(I) if fx["method"] == "ek" else oracle_betti(I)
     got = table_to_json(table)["entries"]
-    expected = sorted([list(e) for e in fx["expected"]])
-    context[fx["name"]] = table
+    expected = _entries(fx)
     if got != expected:
         return "fail", f"expected {expected}, got {got}"
+    # the twin's own run checks its table against its recorded entries, so
+    # both passing makes the two computed tables equal
     other = fx.get("same_table_as")
-    if other and other in context and context[other] != table:
-        return "fail", f"table differs from fixture {other}"
+    if other:
+        twin = next((f for f in load_fixtures() if f["name"] == other), None)
+        if twin is None or _entries(twin) != got:
+            return "fail", f"table differs from fixture {other}"
     return "pass", f"table entries {got}" + (f"; equals {other}" if other else "")
 
 
-def _run_matrix_obstruction(fx, budget, context):
+def _run_matrix_obstruction(fx):
     M = GeneratorMatrix(fx["n"], fx["jmin"], tuple(tuple(r) for r in fx["rows"]))
     check = check_matrix_necessary(M)
     if not check.ok:
@@ -87,7 +93,7 @@ def _run_matrix_obstruction(fx, budget, context):
     return "pass", "necessary conditions hold yet exhaustive search finds no ideal"
 
 
-def _run_piecewise_lex(fx, budget, context):
+def _run_piecewise_lex(fx):
     ideal, ss = piecewise_lexsegment(fx["d"], tuple(fx["counts"]))
     expected = {tuple(g) for g in fx["expected_gens"]}
     if set(ideal.gens) != expected:
@@ -110,7 +116,7 @@ def _run_piecewise_lex(fx, budget, context):
     )
 
 
-def _run_shift_values(fx, budget, context):
+def _run_shift_values(fx):
     for case in fx["cases"]:
         got = macaulay_shift(case["a"], case["d"], case["j"])
         if got != case["expected"]:
@@ -118,7 +124,7 @@ def _run_shift_values(fx, budget, context):
     return "pass", f"{len(fx['cases'])} shift values verified"
 
 
-def _run_subring_lex_counts(fx, budget, context):
+def _run_subring_lex_counts(fx):
     for case in fx["ideal_cases"]:
         ell, k, d = case["ell"], case["k"], case["d"]
         ideal = subring_lexsegment_ideal(ell, k, d, ell)
@@ -137,13 +143,13 @@ def _run_subring_lex_counts(fx, budget, context):
     )
 
 
-def _run_extremal_branch(fx, budget, context):
+def _run_extremal_branch(fx):
     n = fx["n"]
     i1, i2 = fx["corner_columns"]
     j1, j2 = fx["corner_degrees"]
     a = fx["low_corner_value"]
     probe = ExtremalProfile(n, ((i1, j1, 1), (i2, j2, a)))
-    forced = iterated_cumsum_last(witness_count_vector(probe, 2), j1 - j2)
+    forced = forced_counts(probe)[1]
     if forced != fx["expected_forced"]:
         return "fail", f"forced count {forced}, expected {fx['expected_forced']}"
     # independent route: count top-class generators after multiplying the
@@ -199,15 +205,6 @@ _RUNNERS = {
 }
 
 
-def run_fixtures(budget: int = DEFAULT_BUDGET) -> list:
+def run_fixtures() -> list:
     """Run every fixture; returns FixtureResult records in file order."""
-    results = []
-    context = {}
-    for fx in load_fixtures():
-        runner = _RUNNERS[fx["kind"]]
-        try:
-            status, detail = runner(fx, budget, context)
-        except BudgetExceededError as exc:
-            status, detail = "skip", f"budget exceeded: {exc}"
-        results.append(FixtureResult(fx["name"], status, detail))
-    return results
+    return [FixtureResult(fx["name"], *_RUNNERS[fx["kind"]](fx)) for fx in load_fixtures()]

@@ -11,6 +11,7 @@ from reference import canonical_order, conjugate_generators
 from stablebetti import cli, enumeration
 from stablebetti.betti import corners_from_counts
 from stablebetti.enumeration import (
+    SearchOutcome,
     _chains,
     _count,
     _filters,
@@ -332,7 +333,10 @@ def test_narrowed_search_matches_the_raw_walk():
     hits = 0
     for n, specs, miss in cases:
         narrowed = enumeration._search(n, specs, miss)
-        assert narrowed == enumeration._first_chain(n, specs, miss), (n, specs)
+        layers = [enumeration._layer(n, 1)]
+        masks = next(_chains(layers, specs), None)
+        raw = None if masks is None else MonomialIdeal(n, _generators(layers, masks))
+        assert narrowed == SearchOutcome(raw, miss if raw is None else ""), (n, specs)
         hits += narrowed.ok
     assert 0 < hits < len(cases)
 
@@ -726,7 +730,7 @@ def test_oversized_layers_are_not_cached():
     # that the raw walk of this search builds must not outlive it (the
     # search itself walks only x_1, x_2)
     specs = enumeration._profile_specs(sb.ExtremalProfile(9, ((1, 8, 1),)))
-    assert enumeration._first_chain(9, specs, PROFILE_MISS).ok
+    assert next(_chains([enumeration._layer(9, 1)], specs), None) is not None
     sizes = {key: len(layer.mons) for key, layer in enumeration._layers.items()}
     assert all(size <= enumeration._CACHED_LAYER_SIZE for size in sizes.values())
     assert (9, 4) in sizes and (9, 5) not in sizes

@@ -31,6 +31,8 @@ def test_profile_validation():
         ExtremalProfile(4, ((2, 4, 1), (4, 2, 1)))  # column reaches n
     with pytest.raises(sb.DomainError):
         ExtremalProfile(4, ((2, 4, 0),))  # value must be positive
+    with pytest.raises(sb.DomainError, match="empty profile"):
+        ExtremalProfile(4, ())
     prof = ExtremalProfile.from_triples(4, [(3, 2, 2), (2, 4, 2)])
     assert prof.triples == ((2, 4, 2), (3, 2, 2))
 
@@ -103,6 +105,8 @@ def test_verify_profile():
     ])
     assert verify_profile(I, ExtremalProfile(3, ((2, 5, 3),)))
     assert not verify_profile(I, ExtremalProfile(3, ((2, 4, 1),)))
+    # the same corners in a ring of another size
+    assert not verify_profile(I, ExtremalProfile(4, ((2, 5, 3),)))
     # non-stable input goes through the homology oracle
     J = MonomialIdeal(3, [
         (4, 0, 0), (3, 1, 0), (2, 2, 0), (3, 0, 1), (1, 2, 1),

@@ -271,11 +271,16 @@ def test_cli_extremal_confirmation(capsys):
     )
     assert code == 1
     assert "confirmed" in json.loads(out)["confirmation"]
+    # the search walks x_1..x_{i_k+1}, so a larger ring is confirmed too
+    code, out, _ = run_cli(
+        capsys, "extremal", "check", "--profile", "2,4,2;3,2,2", "--n", "5", "--confirm"
+    )
+    assert code == 1 and "confirmed by exhaustive search" in out
     # past the default enumeration bound on either side, no search runs
-    for profile, n in (("2,8,2;3,2,2", "4"), ("2,4,2;3,2,2", "5")):
+    for profile, n in (("2,8,2;3,2,2", "4"), ("2,4,2;4,2,2", "5")):
         code, out, _ = run_cli(capsys, "extremal", "check", "--profile", profile, "--n", n, "--confirm")
         assert code == 1
-        assert "search confirmation only offered for n <= 4 and corner degrees <= 5" in out
+        assert "search confirmation only offered for i_k + 1 <= 4 and corner degrees <= 5" in out
 
 
 def test_cli_construct_confirmation(capsys):
@@ -381,8 +386,6 @@ def test_cli_verify_paper(capsys):
     assert all(r["status"] == "pass" for r in results)
     names = {r["name"] for r in results}
     assert "two-corner-example-low-value-2" in names
-    code, out, _ = run_cli(capsys, "verify-paper", "--budget", "1")
-    assert code == 3 and "SKIP" in out
 
 
 def test_cli_verify_paper_fails_on_a_failing_fixture(capsys, monkeypatch):
@@ -412,14 +415,14 @@ def test_cli_budget_zero_is_honoured(tmp_path, capsys):
     assert code == 3 and "budget" in err
     code, _, err = run_cli(capsys, "enumerate", "--n", "2", "--dmax", "2", "--budget", "0")
     assert code == 3 and "budget" in err
-    code, out, _ = run_cli(capsys, "verify-paper", "--budget", "0")
-    assert code == 3 and "SKIP" in out
     # a search examines at most one candidate, so a budget could only
     # refuse a hit; searches take none, and --confirm is bounded by its
-    # desk-scale gate instead
+    # desk-scale gate instead.  verify-paper's one oracle fixture is far
+    # below the default budget, so it takes none either
     mfile = tmp_path / "m.txt"
     mfile.write_text("n=4 jmin=2\n1 2 0 0\n1 3 3 4\n")
     for argv in (
+        ["verify-paper", "--budget", "0"],
         ["search", "matrix", str(mfile), "--budget", "0"],
         ["search", "profile", "--profile", "2,4,1;3,2,1", "--n", "4", "--budget", "0"],
         ["extremal", "check", "--profile", "2,4,5;3,2,1", "--n", "4", "--confirm", "--budget", "0"],
@@ -478,7 +481,7 @@ ARGVS = (
     ["enumerate", "--n", "3", "--dmax", "3", "--count-only", "--budget", "10"],
     ["search", "matrix", "m.txt"],
     ["search", "profile", "--profile", "1,3,2", "--n", "3"],
-    ["verify-paper", "--json", "--budget", "7"],
+    ["verify-paper", "--json"],
 )
 
 

@@ -71,6 +71,8 @@ def test_contains():
     I = MonomialIdeal(3, [(2, 0, 0)])
     assert I.contains((2, 0, 1))
     assert not I.contains((1, 1, 0))
+    with pytest.raises(sb.DomainError, match="different ring"):
+        I.contains((2, 0))
     J, _ = sb.piecewise_lexsegment(5, (1, 3, 2, 2))
     mJ = sb.times_maximal(J, 1)
     assert mJ.contains((2, 3, 1, 0))       # x1^2 x2^3 x3

@@ -21,11 +21,28 @@ def test_erratum_fixture_records_both_values():
     assert "9" in detail and "8" in detail and "erratum" in detail
 
 
-def test_budget_marks_skip_not_pass():
-    results = run_fixtures(budget=1)
-    statuses = {r.name: r.status for r in results}
-    assert statuses["twin-tables-oracle-side"] == "skip"
-    assert "fail" not in statuses.values()
+def test_twin_with_another_table_fails_in_either_order(monkeypatch):
+    # the oracle side holds another ideal with its true table, so it passes
+    # and its twin must fail, whichever of the two comes first; a missing
+    # twin fails too
+    import stablebetti.verify as verify_mod
+
+    fixtures = load_fixtures()
+    twins = [f for f in fixtures if f["kind"] == "betti-table"]
+    oracle_side = next(f for f in twins if f.get("same_table_as") is None)
+    other = sb.MonomialIdeal(3, [(2, 0, 0), (1, 1, 0), (0, 2, 1)])
+    oracle_side["ideal"] = {"n": other.n, "gens": [list(g) for g in other.gens]}
+    oracle_side["expected"] = sb.table_to_json(sb.oracle_betti(other))["entries"]
+    rest = [f for f in fixtures if f["kind"] != "betti-table"]
+    exchange_side = next(f for f in twins if f is not oracle_side)
+    for order in (twins, twins[::-1], [exchange_side]):
+        monkeypatch.setattr(verify_mod, "load_fixtures", lambda order=order: order + rest)
+        results = {r.name: r for r in verify_mod.run_fixtures()}
+        failed = results[exchange_side["name"]]
+        assert failed.status == "fail"
+        assert failed.detail == f"table differs from fixture {oracle_side['name']}"
+        if oracle_side in order:
+            assert results[oracle_side["name"]].status == "pass"
 
 
 def test_fault_injection_is_detected(monkeypatch):
