@@ -7,10 +7,10 @@ generator-counting route give 9, and certified exhaustive search shows
 the profile that 8 would admit is not realizable.
 
 Second: with three corners the forced counts chain.  The literal reading
-of the feasibility condition (witness vectors from the corner values
-alone) admits ((1,4,1),(2,3,1),(3,2,1)) in four variables, yet certified
-search finds nothing; the cumulative reading implemented by
-check_profile rejects it.
+of the feasibility condition (each forced count from the value of the
+corner below alone, as in a two-corner profile) admits
+((1,4,1),(2,3,1),(3,2,1)) in four variables, yet certified search finds
+nothing; the cumulative reading implemented by check_profile rejects it.
 """
 
 import time
@@ -20,10 +20,9 @@ import stablebetti as sb
 
 def experiment_one():
     print("== forced count for corners (2,4,b),(3,2,2) in n=4 ==")
-    v = sb.witness_count_vector(sb.ExtremalProfile(4, ((2, 4, 1), (3, 2, 2))), 2)
-    print(f"witness count vector: {v}")
-    by_definition = sb.iterated_cumsum_last(v, 2)
     witness = sb.subring_lexsegment_ideal(4, 2, 2, 4)
+    print(f"witness count vector: {sb.count_vector(witness)[:3]}")
+    by_definition = sb.forced_counts(sb.ExtremalProfile(4, ((2, 4, 1), (3, 2, 2))))[1]
     grown = sb.times_maximal(witness, 2)
     by_counting = sum(1 for g in grown.gens if sb.max_index(g) == 3)
     print(f"iterated prefix sums:      {by_definition}")
@@ -48,7 +47,8 @@ def experiment_one():
 def experiment_two():
     print("== chained forcing at three corners ==")
     prof = sb.ExtremalProfile(4, ((1, 4, 1), (2, 3, 1), (3, 2, 1)))
-    naive = sb.iterated_cumsum_last(sb.witness_count_vector(prof, 2), 1)
+    # a two-corner profile's forced count starts from the bottom value alone
+    naive = sb.forced_counts(sb.ExtremalProfile(prof.n, prof.triples[:2]))[1]
     print(f"profile: {prof.triples} in n={prof.n}")
     print(f"naive forced count at the top corner:      {naive} (total {naive + 1} <= 4)")
     forced = sb.forced_counts(prof)

@@ -46,6 +46,7 @@ IDEALS = "src/stablebetti/ideals.py"
 ENUMERATION = "src/stablebetti/enumeration.py"
 MACAULAY = "src/stablebetti/macaulay.py"
 ORACLE = "src/stablebetti/oracle.py"
+EXTREMAL = "src/stablebetti/extremal.py"
 
 MUTANTS = (
     # the generating-set checks, each owned by ideals
@@ -116,13 +117,6 @@ MUTANTS = (
         ("tests/test_integer_rule.py::test_integer_rule_at_every_site",),
     ),
     Mutant(
-        "cumsum-entries-unchecked",
-        MACAULAY,
-        '    w = tuple(_checked_int("vector entry", x, None) for x in v)\n',
-        "    w = tuple(v)\n",
-        ("tests/test_integer_rule.py::test_integer_rule_at_every_site",),
-    ),
-    Mutant(
         "betti-table-truncates",
         "src/stablebetti/betti.py",
         '            if _checked_int("Betti number", b):\n'
@@ -132,7 +126,7 @@ MUTANTS = (
     ),
     Mutant(
         "profile-truncates",
-        "src/stablebetti/extremal.py",
+        EXTREMAL,
         '        triples = tuple(_checked_ints("corner", t, 3) for t in self.triples)\n',
         "        triples = tuple((int(i), int(j), int(b)) for i, j, b in self.triples)\n",
         ("tests/test_integer_rule.py::test_integer_rule_at_every_site",),
@@ -176,6 +170,21 @@ MUTANTS = (
             "tests/test_formats_cli.py::test_parse_profile",
             "tests/test_formats_cli.py::test_cli_construct",
         ),
+    ),
+    # the decision layer's two readings: the forced count and the corners
+    Mutant(
+        "forced-count-read-a-degree-low",
+        EXTREMAL,
+        "        forced[p] = GeneratorMatrix(i_p + 1, j_next, (row,)).row(j_p)[i_p]\n",
+        "        forced[p] = GeneratorMatrix(i_p + 1, j_next, (row,)).row(j_p - 1)[i_p]\n",
+        ("tests/test_extremal.py::test_witness_vectors",),
+    ),
+    Mutant(
+        "verify-profile-reads-no-table",
+        EXTREMAL,
+        "        table = betti_from_counts(class_degree_counts(I.gens), I.n)\n",
+        "        table = betti_from_counts({}, I.n)\n",
+        ("tests/test_extremal.py::test_verify_profile",),
     ),
     # the premise that keeps every greedy class from running out
     Mutant(
@@ -296,6 +305,13 @@ MUTANTS = (
         ENUMERATION,
         "    if max(n, dmax) <= DEGREE_CAP:\n",
         "    if True:\n",
+        ("tests/test_enumeration.py::test_count_keeps_the_caps_of_the_bound_as_given",),
+    ),
+    Mutant(
+        "count-keeps-a-degree-past-the-cap",
+        ENUMERATION,
+        "    else:\n        n, dmax = max(n, dmax), min(n, dmax)\n",
+        "",
         ("tests/test_enumeration.py::test_count_keeps_the_caps_of_the_bound_as_given",),
     ),
     Mutant(

@@ -48,7 +48,6 @@ from .extremal import (
     forced_counts,
     nested_lex_ideal,
     verify_profile,
-    witness_count_vector,
 )
 from .ideals import (
     GeneratorMatrix,
@@ -70,7 +69,6 @@ from .macaulay import (
     binom,
     cumsum,
     is_o_sequence,
-    iterated_cumsum_last,
     macaulay_rep,
     macaulay_shift,
     min_shift_preimage,

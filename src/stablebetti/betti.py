@@ -63,30 +63,16 @@ def betti_from_counts(counts: dict, n: int) -> BettiTable:
     return BettiTable(n, entries)
 
 
-def _maximal_positions(positions):
-    out = []
-    for (i, d) in positions:
-        if any((p, q) != (i, d) and p >= i and q >= d for (p, q) in positions):
-            continue
-        out.append((i, d))
-    out.sort()
-    return out
-
-
 def extremal_corners(T: BettiTable) -> list:
     """Extremal entries as triples (i, d, beta_{i,i+d}): the nonzero top
     left corners of all-zero blocks, sorted by increasing i (so with
     strictly decreasing d)."""
     positions = [(i, j - i) for (i, j) in T.entries]
-    return [(i, d, T.beta(i, i + d)) for (i, d) in _maximal_positions(positions)]
-
-
-def corners_from_counts(counts: dict) -> list:
-    """Extremal corners of a stable ideal with generator counts m_{k,d}:
-    (i, d) is extremal iff (i+1, d) is a maximal nonzero count position,
-    and then the value is m_{i+1,d}."""
-    positions = [(k - 1, d) for (k, d) in counts]
-    return [(i, d, counts[(i + 1, d)]) for (i, d) in _maximal_positions(positions)]
+    return sorted(
+        (i, d, T.beta(i, i + d))
+        for (i, d) in positions
+        if not any((p, q) != (i, d) and p >= i and q >= d for (p, q) in positions)
+    )
 
 
 def _grid(entries, columns, dmin, dmax):

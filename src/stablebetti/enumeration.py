@@ -288,9 +288,10 @@ def enumerate_strongly_stable(n, dmax, budget=None):
 def count_strongly_stable(n, dmax, budget=None) -> int:
     """Number of ideals enumerate_strongly_stable would yield, under the
     same caps and errors, without materializing them or visiting each
-    chain.  The caps read the bound as given; the walk then runs on
-    its conjugate when that has fewer variables, unless the conjugate
-    is past the degree cap."""
+    chain.  The caps read the bound as given.  The count is symmetric in
+    n and dmax, so the walk runs on the orientation with fewer variables
+    when its degree is within the degree cap, and on the other one
+    otherwise: (2, 65) is counted as (65, 2)."""
     _checked_int("n", n, 1)
     _checked_int("dmax", dmax, 1)
     if budget is None and (n > DEFAULT_ENUM_N or dmax > DEFAULT_ENUM_DMAX):
@@ -312,6 +313,8 @@ def count_strongly_stable(n, dmax, budget=None) -> int:
         )
     if max(n, dmax) <= DEGREE_CAP:
         n, dmax = min(n, dmax), max(n, dmax)
+    else:
+        n, dmax = max(n, dmax), min(n, dmax)
     return _count(n, dmax, cap)
 
 

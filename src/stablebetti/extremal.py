@@ -12,11 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .betti import corners_from_counts, extremal_corners
+from .betti import betti_from_counts, extremal_corners
 from .constructions import subring_lexsegment
 from .errors import DomainError, InfeasibleProfileError, StableBettiError, _checked_int, _checked_ints
-from .ideals import MonomialIdeal, class_degree_counts, counts_to_matrix, is_stable
-from .macaulay import iterated_cumsum_last, macaulay_shift
+from .ideals import GeneratorMatrix, MonomialIdeal, class_degree_counts, counts_to_matrix, is_stable
+from .macaulay import macaulay_shift
 from .monomials import class_size, divides
 from .oracle import oracle_betti
 
@@ -62,21 +62,6 @@ class ExtremalProfile:
         return cls(n, tuple(sorted(triples)))
 
 
-def _shifted_counts(b, i, length) -> tuple:
-    """The first length class counts of the smallest strongly stable space
-    with b monomials in top class i + 1: shifts of b at index i."""
-    return tuple(macaulay_shift(b, i, t - 1 - i) for t in range(1, length + 1))
-
-
-def witness_count_vector(profile: ExtremalProfile, p: int) -> tuple:
-    """For 2 <= p <= k: the count vector, truncated to the first
-    i_{p-1} + 1 entries, of the smallest strongly stable ideal whose
-    top class i_p + 1 carries b_p generators in degree j_p."""
-    _checked_int("p", p, 2, profile.k)
-    i_p, _, b_p = profile.triples[p - 1]
-    return _shifted_counts(b_p, i_p, profile.triples[p - 2][0] + 1)
-
-
 @dataclass(frozen=True)
 class ProfileInequality:
     p: int
@@ -109,9 +94,11 @@ def forced_counts(profile: ExtremalProfile) -> dict:
 
     Starting from t_k = b_k, the degree-j_{p+1} slice of the minimal
     witness has class counts t_{p+1} shifted down (the smallest strongly
-    stable space with t_{p+1} top-class monomials); iterated prefix sums
-    carry them up j_p - j_{p+1} degrees, and corner p then needs b_p on
-    top: t_p = forced_p + b_p.  Returned as a map p -> forced_p.
+    stable space with t_{p+1} top-class monomials).  Stored as the only
+    row of a matrix of generators in i_p + 1 variables, its rows above
+    follow the stabilization rule; forced_p is entry i_p of row j_p, and
+    corner p then needs b_p on top: t_p = forced_p + b_p.  Returned as a
+    map p -> forced_p.
 
     Note the shifts are taken of the accumulated totals t_{p+1}, not of
     b_{p+1} alone: with three or more corners the lower chain forces
@@ -126,7 +113,8 @@ def forced_counts(profile: ExtremalProfile) -> dict:
     for p in range(k - 1, 0, -1):
         i_p, j_p, b_p = t[p - 1]
         i_next, j_next, _ = t[p]
-        forced[p] = iterated_cumsum_last(_shifted_counts(total, i_next, i_p + 1), j_p - j_next)
+        row = tuple(macaulay_shift(total, i_next, c - i_next) for c in range(i_p + 1))
+        forced[p] = GeneratorMatrix(i_p + 1, j_next, (row,)).row(j_p)[i_p]
         total = forced[p] + b_p
     return forced
 
@@ -207,7 +195,7 @@ def verify_profile(I: MonomialIdeal, profile: ExtremalProfile) -> bool:
     if I.n != profile.n:
         return False
     if is_stable(I):
-        corners = corners_from_counts(class_degree_counts(I.gens))
+        table = betti_from_counts(class_degree_counts(I.gens), I.n)
     else:
-        corners = extremal_corners(oracle_betti(I))
-    return tuple(corners) == profile.triples
+        table = oracle_betti(I)
+    return tuple(extremal_corners(table)) == profile.triples

@@ -1,5 +1,5 @@
 """Binomial coefficients, Macaulay representations, shift operators and
-cumulative-sum operators.
+prefix sums.
 
 Everything here is exact integer arithmetic.  The binomial convention is
 the one needed by the shift operators: binom(p, q) = 0 whenever p or q is
@@ -131,18 +131,3 @@ def cumsum(v) -> tuple:
     if not v:
         raise DomainError("empty vector")
     return tuple(accumulate(v))
-
-
-def iterated_cumsum_last(v, q: int) -> int:
-    """Last entry after q applications of cumsum; q = 0 reads the last
-    entry directly.  For the count vector of a stable ideal generated in
-    one degree this equals the count of top-index generators after
-    multiplying q times by the maximal ideal.
-    """
-    _checked_int("q", q)
-    w = tuple(_checked_int("vector entry", x, None) for x in v)
-    if not w:
-        raise DomainError("empty vector")
-    for _ in range(q):
-        w = cumsum(w)
-    return w[-1]

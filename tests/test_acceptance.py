@@ -84,7 +84,7 @@ def test_criterion_03_obstruction_certificates():
 
 def test_criterion_04_worked_example_low_value_one():
     with Timer(10) as t:
-        assert sb.iterated_cumsum_last((1, 1, 1), 2) == 6
+        assert sb.GeneratorMatrix(3, 1, ((1, 1, 1),)).row(3)[-1] == 6
         admissible = []
         for b in range(1, 11):
             profile = sb.ExtremalProfile(4, ((2, 4, b), (3, 2, 1)))
@@ -103,7 +103,7 @@ def test_criterion_04_worked_example_low_value_one():
 def test_criterion_05_adjudicated_branch():
     with Timer(300) as t:
         published_value = 8
-        from_definition = sb.iterated_cumsum_last((1, 2, 2), 2)
+        from_definition = sb.GeneratorMatrix(3, 1, ((1, 2, 2),)).row(3)[-1]
         witness = sb.subring_lexsegment_ideal(4, 2, 2, 4)
         grown = sb.times_maximal(witness, 2)
         from_counting = sum(1 for g in grown.gens if sb.max_index(g) == 3)

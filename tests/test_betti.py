@@ -8,7 +8,6 @@ import stablebetti as sb
 from stablebetti.betti import (
     BettiTable,
     betti_from_counts,
-    corners_from_counts,
     ek_betti,
     extremal_corners,
     render,
@@ -143,12 +142,7 @@ def test_extremal_from_stable_examples():
         (U, [(3, 2, 2)]),
         (MonomialIdeal(1, [(4,)]), [(0, 4, 1)]),
     ):
-        assert corners_from_counts(class_degree_counts(I.gens)) == corners
-
-
-def test_extremal_routes_agree(corpus_n3, corpus_random_n4):
-    for I in corpus_n3 + corpus_random_n4:
-        assert corners_from_counts(class_degree_counts(I.gens)) == extremal_corners(ek_betti(I))
+        assert extremal_corners(betti_from_counts(class_degree_counts(I.gens), I.n)) == corners
 
 
 def test_render_example():

@@ -9,7 +9,7 @@ import pytest
 import stablebetti as sb
 from reference import canonical_order, conjugate_generators
 from stablebetti import cli, enumeration
-from stablebetti.betti import corners_from_counts
+from stablebetti.betti import betti_from_counts, extremal_corners
 from stablebetti.enumeration import (
     SearchOutcome,
     _chains,
@@ -23,7 +23,7 @@ from stablebetti.enumeration import (
     search_extremal_profile,
     search_matrix,
 )
-from stablebetti.ideals import GeneratorMatrix, MonomialIdeal, class_degree_counts, new_generator_row
+from stablebetti.ideals import GeneratorMatrix, MonomialIdeal, new_generator_row
 from stablebetti.monomials import DEGREE_CAP, enumerate_degree, max_index, swap_variable
 
 
@@ -426,12 +426,12 @@ def test_count_is_symmetric_in_n_and_dmax():
 
 
 def test_count_keeps_the_caps_of_the_bound_as_given():
-    # a bound past the degree cap is counted as given: transposed, each
-    # of these would fail on degree 65
+    # a bound whose fewer-variable orientation passes the degree cap is
+    # counted on the other one, whichever way it is given
     assert count_strongly_stable(65, 1, budget=65) == 65
     assert count_strongly_stable(65, 2, budget=2**70) == 2**66 - 2
-    with pytest.raises(sb.DomainError, match=r"d must be an integer in 0\.\.64, got 65"):
-        count_strongly_stable(2, 65, budget=2**70)
+    assert count_strongly_stable(2, 65, budget=2**70) == 2**66 - 2
+    assert count_strongly_stable(1, 100, budget=100) == 100
     # the default caps read n and dmax as given
     with pytest.raises(sb.BudgetExceededError) as err:
         count_strongly_stable(5, 3)
@@ -553,7 +553,7 @@ def test_search_profile_positive_and_negative():
     prof = sb.ExtremalProfile(4, ((2, 4, 1), (3, 2, 1)))
     out = search_extremal_profile(prof)
     assert out.found is not None
-    assert corners_from_counts(class_degree_counts(out.found.gens)) == list(prof.triples)
+    assert extremal_corners(sb.ek_betti(out.found)) == list(prof.triples)
 
     bad = sb.ExtremalProfile(4, ((2, 4, 5), (3, 2, 1)))
     assert not sb.check_profile(bad).ok
@@ -585,7 +585,7 @@ def _coarse_profile_hit(profile):
                 specs[d - 1][i - 1] = bp if (i - 1, d) == (ip, jp) else 0
     layers = _walk_layers(n, j1)
     for masks in _chains(layers, specs):
-        if tuple(corners_from_counts(_chain_counts(layers, masks))) == profile.triples:
+        if tuple(extremal_corners(betti_from_counts(_chain_counts(layers, masks), n))) == profile.triples:
             return MonomialIdeal(n, _generators(layers, masks))
     return None
 
@@ -599,7 +599,7 @@ def test_profile_pins_are_exact():
         chains = []
         for masks in _chains(layers, [None] * dmax):
             counts = _chain_counts(layers, masks)
-            chains.append((counts, tuple(corners_from_counts(counts))))
+            chains.append((counts, tuple(extremal_corners(betti_from_counts(counts, n)))))
         profiles = {corners for _, corners in chains if corners and corners[0][0] > 0}
         assert len(profiles) > 10
         for triples in profiles:

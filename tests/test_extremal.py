@@ -3,7 +3,7 @@ import random
 import pytest
 
 import stablebetti as sb
-from stablebetti.betti import corners_from_counts
+from stablebetti.betti import betti_from_counts, ek_betti, extremal_corners
 from stablebetti.constructions import subring_lexsegment_ideal
 from stablebetti.extremal import (
     ExtremalProfile,
@@ -11,7 +11,6 @@ from stablebetti.extremal import (
     forced_counts,
     nested_lex_ideal,
     verify_profile,
-    witness_count_vector,
 )
 from stablebetti.ideals import MonomialIdeal, class_degree_counts
 from stablebetti.macaulay import binom
@@ -38,11 +37,11 @@ def test_profile_validation():
 
 
 def test_witness_vectors():
-    assert witness_count_vector(ExtremalProfile(4, ((2, 4, 5), (3, 2, 2))), 2) == (1, 2, 2)
-    assert witness_count_vector(ExtremalProfile(4, ((2, 4, 5), (3, 2, 1))), 2) == (1, 1, 1)
-    for b in (1,):
-        prof = ExtremalProfile(6, ((1, 7, 3), (4, 3, b)))
-        assert witness_count_vector(prof, 2) == (1, 1)
+    # the witness vectors (1, 2, 2), (1, 1, 1) and (1, 1), carried up by
+    # prefix sums to the top corner's degree
+    assert forced_counts(ExtremalProfile(4, ((2, 4, 5), (3, 2, 2)))) == {1: 9}
+    assert forced_counts(ExtremalProfile(4, ((2, 4, 5), (3, 2, 1)))) == {1: 6}
+    assert forced_counts(ExtremalProfile(6, ((1, 7, 3), (4, 3, 1)))) == {1: 5}
 
 
 def test_check_profile_worked_example():
@@ -70,7 +69,7 @@ def test_nested_lex_base_case():
     prof = ExtremalProfile(4, ((3, 2, 2),))
     ideal = nested_lex_ideal(prof)
     assert ideal == sb.subring_lexsegment_ideal(4, 2, 2, 4)
-    assert corners_from_counts(class_degree_counts(ideal.gens)) == [(3, 2, 2)]
+    assert extremal_corners(ek_betti(ideal)) == [(3, 2, 2)]
 
 
 def test_nested_lex_two_corners_trace():
@@ -80,7 +79,7 @@ def test_nested_lex_two_corners_trace():
         (2, 0, 0, 0), (1, 1, 0, 0), (1, 0, 1, 0), (1, 0, 0, 1),
         (0, 4, 0, 0), (0, 3, 1, 0),
     }
-    assert corners_from_counts(class_degree_counts(ideal.gens)) == [(2, 4, 1), (3, 2, 1)]
+    assert extremal_corners(ek_betti(ideal)) == [(2, 4, 1), (3, 2, 1)]
 
 
 def test_nested_lex_two_variables():
@@ -263,9 +262,9 @@ def test_growth_bound_used_by_the_decision():
         q = rng.randint(0, 3)
         grown = sb.times_maximal(I, q)
         top = sum(1 for g in grown.gens if max_index(g) == ell)
-        assert top == sb.iterated_cumsum_last(mv, q)
+        assert top == sb.GeneratorMatrix(ell, d, (mv,)).row(d + q)[-1]
         lower = tuple(max(0, x - rng.randint(0, 1)) for x in mv)
-        assert sb.iterated_cumsum_last(lower, q) <= top
+        assert sb.GeneratorMatrix(ell, d, (lower,)).row(d + q)[-1] <= top
 
 
 @pytest.fixture(scope="module")
@@ -275,7 +274,7 @@ def realized_corners():
     enumeration yields strongly stable ideals only."""
     return {
         (n, dmax): [
-            tuple(corners_from_counts(class_degree_counts(I.gens)))
+            tuple(extremal_corners(betti_from_counts(class_degree_counts(I.gens), n)))
             for I in sb.enumerate_strongly_stable(n, dmax)
         ]
         for n, dmax in ((3, 3), (3, 4), (4, 4))
@@ -321,7 +320,7 @@ def test_chained_forcing_adjudication():
     assert not check_profile(prof).ok
     out = sb.search_extremal_profile(prof)
     assert out.found is None and out.note.startswith("no strongly stable ideal")
-    # the naive forced count would have been cumsum((1,1)) = 2, total 3 <= 4
-    v2 = witness_count_vector(prof, 2)
-    assert sb.iterated_cumsum_last(v2, 1) + 1 <= 4
+    # the naive forced count starts from the bottom value alone, as in the
+    # two-corner profile: cumsum((1,1)) = 2, total 3 <= 4
+    assert forced_counts(ExtremalProfile(4, prof.triples[:2]))[1] + 1 <= 4
     assert sb.forced_counts(prof)[1] + 1 > 4

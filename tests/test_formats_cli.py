@@ -5,7 +5,7 @@ import time
 import pytest
 
 import stablebetti as sb
-from stablebetti.betti import corners_from_counts
+from stablebetti.betti import ek_betti, extremal_corners
 from stablebetti.cli import build_parser, main
 from stablebetti.formats import (
     format_ideal,
@@ -14,7 +14,6 @@ from stablebetti.formats import (
     parse_matrix_text,
     parse_profile,
 )
-from stablebetti.ideals import class_degree_counts
 
 IDEAL_TEXT = """\
 # a strongly stable ideal
@@ -251,7 +250,7 @@ def test_cli_extremal(capsys):
     code, out, _ = run_cli(capsys, "extremal", "construct", "--profile", "2,4,1;3,2,1", "--n", "4")
     assert code == 0
     ideal = parse_ideal_text(out)
-    assert corners_from_counts(class_degree_counts(ideal.gens)) == [(2, 4, 1), (3, 2, 1)]
+    assert extremal_corners(ek_betti(ideal)) == [(2, 4, 1), (3, 2, 1)]
     code, _, err = run_cli(capsys, "extremal", "construct", "--profile", "2,4,2;3,2,2", "--n", "4")
     assert code == 1 and "infeasible" in err
     # construct prints an ideal file and has no JSON form
@@ -346,7 +345,7 @@ def test_cli_enumerate_and_search(tmp_path, capsys):
 
     code, out, _ = run_cli(capsys, "search", "profile", "--profile", "2,4,1;3,2,1", "--n", "4")
     assert code == 0
-    assert corners_from_counts(class_degree_counts(parse_ideal_text(out).gens)) == [(2, 4, 1), (3, 2, 1)]
+    assert extremal_corners(ek_betti(parse_ideal_text(out))) == [(2, 4, 1), (3, 2, 1)]
 
     zero = tmp_path / "zero.txt"
     zero.write_text("n=3 jmin=2\n0 0 0\n")

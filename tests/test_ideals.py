@@ -317,7 +317,7 @@ def test_single_degree_growth_counts(corpus_random_n4):
             grown = sb.times_maximal(J, q)
             gv = sb.count_vector(grown)
             for i in range(1, J.n + 1):
-                assert gv[i - 1] == sb.iterated_cumsum_last(mv[:i], q)
+                assert gv[i - 1] == sb.GeneratorMatrix(i, 1, (mv[:i],)).row(1 + q)[-1]
 
 
 def test_matrix_rows_pass_necessary_conditions(corpus_n3):

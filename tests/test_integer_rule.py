@@ -12,7 +12,6 @@ SETUP = """\
 from random import Random
 from stablebetti import *
 I = MonomialIdeal(2, [(1, 0)])
-P = ExtremalProfile(4, ((1, 3, 2), (2, 2, 1)))
 """
 
 # (call, with x standing for the value; the argument the message names;
@@ -30,8 +29,6 @@ SITES = (
     ("min_shift_preimage(3, x, 4)", "i", 2.5, 4),
     ("min_shift_preimage(3, 2, x)", "ell", 3.5, 2),
     ("is_o_sequence(x)", "m", (1, 2.5, 3), (1, -1)),
-    ("iterated_cumsum_last((1, 2), x)", "q", 1.5, -1),
-    ("iterated_cumsum_last((1, x), 1)", "vector entry", 0.5, None),
     ("macaulay_shift(5, 2, x)", "j", 1.5, None),
     ("MonomialIdeal(x, [(1, 0)])", "n", 2.0, 0),
     ("MonomialIdeal(2, [x])", "generator", (0.5, 1), (-1, 1)),
@@ -65,7 +62,6 @@ SITES = (
     ("is_lexsegment_count_vector((1, 1), x)", "d", 1.5, 0),
     ("ExtremalProfile(x, ((1, 2, 1),))", "n", 4.0, 1),
     ("ExtremalProfile(4, (x,))", "corner", (1.5, 3, 2), (1, 2)),
-    ("witness_count_vector(P, x)", "p", 1.5, 3),
     ("count_strongly_stable(x, 2)", "n", 1.5, 0),
     ("count_strongly_stable(2, x)", "dmax", 1.5, 0),
     ("count_strongly_stable(2, 2, budget=x)", "budget", 10**6 + 0.5, -1),

@@ -85,10 +85,11 @@ MOVED_TO_TESTS = {
 DELETED = {
     "constructions": ("Block", "lower_segment_blocks", "block_monomials"),
     "monomials": ("deglex_compare",),
-    "betti": ("table_from_json", "extremal_from_stable"),
+    "betti": ("table_from_json", "extremal_from_stable", "corners_from_counts", "_maximal_positions"),
     "ideals": ("generator_counts", "matrix_to_counts"),
     "formats": ("format_profile",),
-    "macaulay": ("is_o_sequence_from_zero",),
+    "macaulay": ("is_o_sequence_from_zero", "iterated_cumsum_last"),
+    "extremal": ("witness_count_vector", "_shifted_counts"),
     "enumeration": ("_walk_setup",),
 }
 

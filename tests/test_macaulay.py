@@ -9,7 +9,6 @@ from stablebetti.macaulay import (
     binom,
     cumsum,
     is_o_sequence,
-    iterated_cumsum_last,
     macaulay_rep,
     macaulay_shift,
     min_shift_preimage,
@@ -151,15 +150,6 @@ def test_cumsum_examples():
     assert cumsum((7,)) == (7,)
 
 
-def test_iterated_cumsum_last():
-    assert iterated_cumsum_last((1, 1, 1), 2) == 6
-    assert iterated_cumsum_last((1, 2, 2), 2) == 9
-    for v in ((3,), (1, 4), (2, 0, 5)):
-        assert iterated_cumsum_last(v, 0) == v[-1]
-    with pytest.raises(sb.DomainError):
-        iterated_cumsum_last((1,), -1)
-
-
 def test_iterated_cumsum_matches_generator_counting():
     # independent oracle for the adjudicated value: top-index growth of the
     # smallest strongly stable ideal with 2 top-class degree-2 generators
@@ -167,7 +157,7 @@ def test_iterated_cumsum_matches_generator_counting():
     assert sb.count_vector(U) == (1, 2, 2, 2)
     grown = sb.times_maximal(U, 2)
     class3 = sum(1 for g in grown.gens if sb.max_index(g) == 3)
-    assert class3 == 9 == iterated_cumsum_last((1, 2, 2), 2)
+    assert class3 == 9 == sb.GeneratorMatrix(3, 1, ((1, 2, 2),)).row(3)[-1]
 
 
 @settings(max_examples=200, deadline=None)
@@ -179,7 +169,7 @@ def test_iterated_cumsum_matches_generator_counting():
 def test_iterated_cumsum_monotone(v, bumps, q):
     bumps = (bumps * len(v))[: len(v)]
     w = tuple(a + b for a, b in zip(v, bumps))
-    assert iterated_cumsum_last(tuple(v), q) <= iterated_cumsum_last(w, q)
+    assert sb.GeneratorMatrix(len(v), 1, (tuple(v),)).row(1 + q)[-1] <= sb.GeneratorMatrix(len(w), 1, (w,)).row(1 + q)[-1]
 
 
 def lex_space_is_ideal(h, n):
