@@ -24,7 +24,7 @@ def experiment_one():
     print(f"witness count vector: {sb.count_vector(witness)[:3]}")
     by_definition = sb.forced_counts(sb.ExtremalProfile(4, ((2, 4, 1), (3, 2, 2))))[1]
     grown = sb.times_maximal(witness, 2)
-    by_counting = sum(1 for g in grown.gens if sb.max_index(g) == 3)
+    by_counting = sb.count_vector(grown)[2]
     print(f"iterated prefix sums:      {by_definition}")
     print(f"generator counting:        {by_counting}")
     print("published value:           8")

@@ -179,6 +179,17 @@ MUTANTS = (
         "        forced[p] = GeneratorMatrix(i_p + 1, j_next, (row,)).row(j_p - 1)[i_p]\n",
         ("tests/test_extremal.py::test_witness_vectors",),
     ),
+    # the witness reads its segment sizes off the verdict's sides
+    Mutant(
+        "witness-sized-by-the-corner-value",
+        EXTREMAL,
+        "        segment = subring_lexsegment(i_p + 1, side.lhs, j_p, profile.n)\n",
+        "        segment = subring_lexsegment(i_p + 1, profile.triples[side.p - 1][2], j_p, profile.n)\n",
+        (
+            "tests/test_extremal.py::test_soundness_random_profiles",
+            "tests/test_extremal.py::test_nested_lex_matches_ideal_sum_fold",
+        ),
+    ),
     Mutant(
         "verify-profile-reads-no-table",
         EXTREMAL,
@@ -193,6 +204,17 @@ MUTANTS = (
         "    if len(row) >= 2 and row[1] > j:\n",
         "    if False:\n",
         ("tests/test_constructions.py::test_realize_greedy_rejects_bad_matrix",),
+    ),
+    # one generator rule for every class, the top one reading m_{k+1} as 1
+    Mutant(
+        "counts-top-class-rule-dropped",
+        "src/stablebetti/constructions.py",
+        "    m = counts[:k] + (1,)  # m[i] is m_{i+1}\n",
+        "    m = counts[:k] + (0,)  # m[i] is m_{i+1}\n",
+        (
+            "tests/test_constructions.py::test_counts_construction_examples",
+            "tests/test_constructions.py::test_counts_construction_grid",
+        ),
     ),
     # one per route of the two-route check
     Mutant(
@@ -401,6 +423,14 @@ MUTANTS = (
         "    m = max((c for spec in specs for c, tgt in enumerate(spec, 1) if tgt != 0), default=1)\n",
         "    m = n\n",
         ("tests/test_enumeration.py::test_search_builds_only_the_pinned_variables",),
+    ),
+    # a search past the degree cap is refused before it walks
+    Mutant(
+        "search-depth-gate-dropped",
+        ENUMERATION,
+        '    _checked_int("search degree", len(specs), 1, DEGREE_CAP)\n',
+        "",
+        ("tests/test_enumeration.py::test_walks_reach_the_degree_cap",),
     ),
     # the public API is what a program calls
     Mutant(

@@ -50,16 +50,13 @@ def strongly_stable_with_counts(counts) -> MonomialIdeal:
     exactly the prescribed totals.  Feasible iff counts[0] = 1 and zeros
     propagate (a zero count is never followed by a positive one).
 
-    With k the last index with a positive count and empty products equal
-    to 1, the generators with max index j are
+    With k the last index with a positive count, m_{k+1} and x_0 read as
+    1 and empty products equal to 1, one rule gives the generators of every
+    class j <= k:
 
-        prefix(j) * x_{j-1}^(m_j - 1 - t) * x_j^(m_{j+1} + t),  t < m_j
+        prod_{i<=j-2} x_i^(m_{i+1} - 1) * x_{j-1}^(m_j - 1 - t) * x_j^(m_{j+1} + t)
 
-    for j < k, where prefix(j) = prod_{i<=j-2} x_i^(m_{i+1} - 1), and
-
-        prefix(k) * x_{k-1}^(m_k - t) * x_k^t,  1 <= t <= m_k
-
-    for j = k.
+    for t < m_j.
     """
     counts = _checked_ints("counts", counts)
     n = len(counts)
@@ -71,31 +68,13 @@ def strongly_stable_with_counts(counts) -> MonomialIdeal:
                 "infeasible counts: a zero entry cannot be followed by a positive one"
             )
     k = max(i + 1 for i in range(n) if counts[i])
-
-    def prefix(j):
-        exps = [0] * n
-        for i in range(1, j - 1):  # i = 1 .. j-2
-            exps[i - 1] = counts[i] - 1  # m_{i+1} - 1
-        return exps
-
+    m = counts[:k] + (1,)  # m[i] is m_{i+1}
     gens = []
-    for j in range(1, k):
-        base = prefix(j)
-        mj, mj1 = counts[j - 1], counts[j]
-        for t in range(mj):
-            g = list(base)
-            if j >= 2:
-                g[j - 2] += mj - 1 - t
-            g[j - 1] += mj1 + t
-            gens.append(tuple(g))
-    base = prefix(k)
-    mk = counts[k - 1]
-    for t in range(1, mk + 1):
-        g = list(base)
-        if k >= 2:
-            g[k - 2] += mk - t
-        g[k - 1] += t
-        gens.append(tuple(g))
+    for j in range(1, k + 1):
+        for t in range(m[j - 1]):
+            # x_1 .. x_{j-1}, of which class 1 has none
+            head = [c - 1 for c in m[1:j - 1]] + [m[j - 1] - 1 - t] * (j > 1)
+            gens.append(tuple(head + [m[j] + t] + [0] * (n - j)))
     return MonomialIdeal(n, gens)
 
 

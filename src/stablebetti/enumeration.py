@@ -405,12 +405,14 @@ def _search(n, specs, miss) -> SearchOutcome:
     variables without building the layers the pins rule out.  A pin
     outside 0..class_size (the pins dropped are 0) misses before any
     layer is built: no walk could meet it, though one could run long to
-    find that out."""
+    find that out.  Otherwise a walk deeper than the degree cap is
+    refused, naming its depth, before any layer is built."""
     m = max((c for spec in specs for c, tgt in enumerate(spec, 1) if tgt != 0), default=1)
     specs = [spec[:m] for spec in specs]
     if any(tgt is not None and not 0 <= tgt <= class_size(c, d)
            for d, spec in enumerate(specs, 1) for c, tgt in enumerate(spec, 1)):
         return SearchOutcome(None, miss)
+    _checked_int("search degree", len(specs), 1, DEGREE_CAP)
     layers = [_layer(m, 1)]
     masks = next(_chains(layers, specs), None)
     if masks is None:

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 
 from .betti import betti_from_counts, extremal_corners
 from .constructions import subring_lexsegment
-from .errors import DomainError, InfeasibleProfileError, StableBettiError, _checked_int, _checked_ints
-from .ideals import GeneratorMatrix, MonomialIdeal, class_degree_counts, counts_to_matrix, is_stable
+from .errors import DomainError, InfeasibleProfileError, _checked_int, _checked_ints
+from .ideals import GeneratorMatrix, MonomialIdeal, class_degree_counts, is_stable
 from .macaulay import macaulay_shift
 from .monomials import class_size, divides
 from .oracle import oracle_betti
@@ -76,7 +76,6 @@ class ProfileInequality:
 
 @dataclass(frozen=True)
 class ProfileCheck:
-    profile: ExtremalProfile
     checks: tuple
 
     @property
@@ -120,42 +119,38 @@ def forced_counts(profile: ExtremalProfile) -> dict:
 
 
 def check_profile(profile: ExtremalProfile) -> ProfileCheck:
-    """Numerical feasibility of a profile.
+    """Numerical feasibility of a profile: one side per corner, p = 1..k.
 
-    The last corner must fit its class, b_k <= binom(i_k + j_k - 1, i_k),
-    and climbing from corner p+1 to corner p the monomials forced by the
-    chain below (see forced_counts) plus the requested b_p must still
-    fit: lhs <= binom(i_p + j_p - 1, i_p).
+    Side p reads lhs = forced_p + b_p <= binom(i_p + j_p - 1, i_p), the
+    size of class i_p + 1 in degree j_p, with forced_p the monomials the
+    chain below already puts there (see forced_counts) and forced_k = 0:
+    the last corner must fit its class alone.  The lhs of side p is the
+    number of top-class monomials the witness holds at corner p, so
+    nested_lex_ideal reads its segment sizes off these sides.
     """
-    t = profile.triples
-    k = profile.k
-    checks = []
-    i_k, j_k, b_k = t[-1]
-    checks.append(
-        ProfileInequality(k, f"b_{k} within class {i_k + 1} at degree {j_k}", b_k, class_size(i_k + 1, j_k))
-    )
     forced = forced_counts(profile)
-    for p in range(k - 1, 0, -1):
-        i_p, j_p, b_p = t[p - 1]
+    checks = []
+    for p, (i_p, j_p, b_p) in enumerate(profile.triples, 1):
+        label = f"forced count {forced[p]} plus b_{p}" if p in forced else f"b_{p}"
         checks.append(
             ProfileInequality(
                 p,
-                f"forced count {forced[p]} plus b_{p} within class {i_p + 1} at degree {j_p}",
-                forced[p] + b_p,
+                f"{label} within class {i_p + 1} at degree {j_p}",
+                forced.get(p, 0) + b_p,
                 class_size(i_p + 1, j_p),
             )
         )
-    return ProfileCheck(profile, tuple(reversed(checks)))
+    return ProfileCheck(tuple(checks))
 
 
 def nested_lex_ideal(profile: ExtremalProfile) -> MonomialIdeal:
-    """Constructive witness for a feasible profile: starting from the
-    bottom corner take the leading-subring lexsegment with b_k top-class
-    generators in degree j_k, then for each higher corner add the
-    leading-subring lexsegment of degree j_p that extends the forced
-    segment by exactly b_p new top-class generators.  The result is a sum
-    of lexsegment ideals generated in degree j_p inside the first
-    i_p + 1 variables, and its extremal corners are exactly the profile.
+    """Constructive witness for a feasible profile, built from the bottom
+    corner up: for each corner p, the leading-subring lexsegment of
+    degree j_p in the first i_p + 1 variables with as many top-class
+    monomials as the lhs of the verdict's side p, the forced count plus
+    b_p.  It extends the segment the corners below force, so it adds
+    exactly b_p new top-class generators.  The result is a sum of
+    lexsegment ideals, and its extremal corners are exactly the profile.
     """
     verdict = check_profile(profile)
     if not verdict.ok:
@@ -165,26 +160,11 @@ def nested_lex_ideal(profile: ExtremalProfile) -> MonomialIdeal:
             f"corner p={bad.p} needs {bad.lhs} <= {bad.rhs}",
             check=verdict,
         )
-    t = profile.triples
-    k = profile.k
-    i_k, j_k, b_k = t[-1]
-    gens = subring_lexsegment(i_k + 1, b_k, j_k, profile.n)
-    forced = forced_counts(profile)
-    for p in range(k - 1, 0, -1):
-        i_p, j_p, b_p = t[p - 1]
-        # ground truth for the forced count: top-class monomials already
-        # present in this degree, read off the generator counts of the
-        # witness (strongly stable at every step) by the Eliahou-Kervaire
-        # recursion
-        present = counts_to_matrix(class_degree_counts(gens), profile.n).row(j_p)[i_p]
-        if present != forced[p]:
-            raise StableBettiError(
-                f"the witness breaks the forced count at corner p={p}: "
-                f"{present} top-class monomials present, forced_counts gives {forced[p]}"
-            )
+    gens = []
+    for (i_p, j_p, _), side in zip(reversed(profile.triples), reversed(verdict.checks)):
         # the segment lies in degree j_p, above every generator so far, so
         # its elements outside the ideal are exactly the new minimal ones
-        segment = subring_lexsegment(i_p + 1, present + b_p, j_p, profile.n)
+        segment = subring_lexsegment(i_p + 1, side.lhs, j_p, profile.n)
         gens += [u for u in segment if not any(divides(g, u) for g in gens)]
     return MonomialIdeal(profile.n, gens)
 

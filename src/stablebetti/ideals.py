@@ -13,6 +13,7 @@ from itertools import islice
 
 from .errors import DomainError, NotStableError, UnitIdealError, _checked_int, _checked_ints
 from .monomials import (
+    DEGREE_CAP,
     deglex_key,
     divides,
     enumerate_degree,
@@ -139,8 +140,10 @@ def is_strongly_stable(I: MonomialIdeal) -> bool:
 
 def is_lexsegment(I: MonomialIdeal) -> bool:
     """Every graded component is a top segment in deglex, checked through
-    the maximal generator degree plus one stabilization degree."""
-    for d in range(0, I.max_gen_degree() + 2):
+    the maximal generator degree plus one stabilization degree, which
+    the degree cap bounds."""
+    top = _checked_int("top generator degree", I.max_gen_degree(), 0, DEGREE_CAP - 1)
+    for d in range(0, top + 2):
         comp = graded_component(I, d)
         if comp != enumerate_degree(I.n, d)[: len(comp)]:
             return False

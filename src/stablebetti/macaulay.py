@@ -8,6 +8,7 @@ negative or q > p, and binom(0, 0) = 1.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
@@ -98,14 +99,7 @@ def min_shift_preimage(k: int, i: int, ell: int) -> int:
     """
     _checked_int("i", i, 2, _checked_int("ell", ell, 3) - 1)
     _checked_int("k", k, 1)
-    lo, hi = 1, k
-    while lo < hi:
-        mid = (lo + hi) // 2
-        if k <= macaulay_shift(mid, i - 1, ell - i):
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
+    return bisect_left(range(1, k + 1), True, key=lambda a: k <= macaulay_shift(a, i - 1, ell - i)) + 1
 
 
 def is_o_sequence(m) -> bool:

@@ -37,7 +37,6 @@ from .ideals import (
     times_maximal,
 )
 from .macaulay import macaulay_shift, min_shift_preimage
-from .monomials import max_index
 from .oracle import oracle_betti
 
 
@@ -156,7 +155,7 @@ def _run_extremal_branch(fx):
     # bottom-corner witness ideal by the maximal ideal j1 - j2 times
     witness = subring_lexsegment_ideal(i2 + 1, a, j2, n)
     grown = times_maximal(witness, j1 - j2)
-    counted = sum(1 for g in grown.gens if max_index(g) == i1 + 1)
+    counted = count_vector(grown)[i1]
     if counted != forced:
         return "fail", f"generator count {counted} disagrees with operator value {forced}"
     admissible = []

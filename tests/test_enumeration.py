@@ -185,12 +185,22 @@ def test_a_pin_above_its_class_size_misses_at_once():
     assert search_extremal_profile(sb.ExtremalProfile(3, ((2, 12, 78),))).ok
 
 
-def test_walks_reach_the_degree_cap():
+def test_walks_reach_the_degree_cap(monkeypatch):
     # the walk recurses once per degree, up to the cap
     got = [I.gens for I in enumerate_strongly_stable(1, DEGREE_CAP, budget=DEGREE_CAP)]
     assert got == [((d,),) for d in range(1, DEGREE_CAP + 1)]
     out = search_extremal_profile(sb.ExtremalProfile(2, ((1, DEGREE_CAP, 1),)))
     assert out.found == MonomialIdeal(2, [(DEGREE_CAP, 0), (DEGREE_CAP - 1, 1)])
+    # a search past the cap is refused before it builds a layer, naming
+    # the degree asked for; it used to build 64 layers and then name 65
+    built = _record_builds(monkeypatch)
+    for search in (
+        lambda: search_extremal_profile(sb.ExtremalProfile(2, ((1, 70, 1),))),
+        lambda: search_matrix(GeneratorMatrix(2, 70, ((1, 1),))),
+    ):
+        with pytest.raises(sb.DomainError, match="^search degree must be an integer in 1..64, got 70$"):
+            search()
+    assert built == []
 
 
 def test_small_budget_stops_a_wide_top_layer_at_once():

@@ -153,6 +153,11 @@ def test_soundness_random_profiles():
         ideal = nested_lex_ideal(prof)
         assert sb.is_strongly_stable(ideal)
         assert verify_profile(ideal, prof), prof
+        # each corner's class holds the side's lhs, forced count plus b_p,
+        # the size the witness gave its segment there
+        matrix = sb.generator_matrix(ideal)
+        for (i_p, j_p, _), side in zip(prof.triples, check_profile(prof).checks):
+            assert matrix.row(j_p)[i_p] == side.lhs, (prof, side)
         built += 1
 
 

@@ -121,6 +121,11 @@ def test_lexsegment_predicate():
     # powers of the maximal ideal are lexsegment
     m2 = sb.lexsegment_ideal(3, 2, 6)
     assert sb.is_lexsegment(m2)
+    # the check reads one degree past the top generator, so that degree
+    # stays within the cap, and the refusal names the generator degree
+    assert sb.is_lexsegment(MonomialIdeal(1, [(63,)]))
+    with pytest.raises(sb.DomainError, match="^top generator degree must be an integer in 0..63, got 64$"):
+        sb.is_lexsegment(MonomialIdeal(1, [(64,)]))
 
 
 def test_lexsegment_closed_under_shadow():
