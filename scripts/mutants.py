@@ -341,7 +341,18 @@ MUTANTS = (
         "src/stablebetti/cli.py",
         "    every = command not in _COMMANDS\n",
         "    every = True\n",
-        ("tests/test_formats_cli.py::test_parser_adds_only_the_named_commands_arguments",),
+        ("tests/test_formats_cli.py::test_parser_registers_only_the_named_command",),
+    ),
+    # a parser of one command still names every command in its usage line
+    Mutant(
+        "usage-lists-only-the-named-command",
+        "src/stablebetti/cli.py",
+        '    metavar = None if every else "{" + ",".join(_COMMANDS) + "}"\n',
+        "    metavar = None\n",
+        (
+            "tests/test_formats_cli.py::test_parser_registers_only_the_named_command",
+            "tests/test_formats_cli.py::test_cli_help_and_parse_errors_match_the_whole_tree",
+        ),
     ),
     Mutant(
         "confirmation-gates-on-the-top-degree-only",

@@ -393,22 +393,23 @@ _COMMANDS = {
 
 
 def build_parser(command=None):
-    """The argument parser.  Every command is registered with its help, so
-    the top-level help and the errors for a missing or unknown command
-    read the same for any command; only the named command gets its
-    arguments, subcommands and defaults, or every command when command
-    names none (None, or an option that comes before the command, whose
-    errors are those of the whole tree)."""
+    """The argument parser.  A command of _COMMANDS is the only one
+    registered, with its arguments, subcommands and defaults; the usage
+    line still names every command, so errors that print it read the
+    same as the whole tree's.  When command names none (None, an unknown
+    name, or an option that comes before the command) every command is
+    registered with its arguments, so -h and the errors for a missing or
+    unknown command are those of the whole tree."""
     parser = argparse.ArgumentParser(
         prog="stablebetti",
         description="Graded Betti tables of monomial ideals, exactly",
     )
-    sub = parser.add_subparsers(dest="command", required=True)
     every = command not in _COMMANDS
-    for name, (help_text, add_arguments) in _COMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        if every or name == command:
-            add_arguments(p)
+    metavar = None if every else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name in _COMMANDS if every else (command,):
+        help_text, add_arguments = _COMMANDS[name]
+        add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import sys
 import time
@@ -506,6 +507,9 @@ def test_cli_help_and_parse_errors_match_the_whole_tree(capsys):
         ["--json", "betti", "i.txt"],  # an option before the command
         ["enumerate", "--n", "3"],  # a missing required argument
         ["betti", "i.txt", "--method", "nope"],
+        # errors of the top-level parser after a known command print its usage
+        ["macaulay", "rep", "5", "2", "--bogus"],
+        ["betti", "i.txt", "extra"],
     )
     for argv in helps + list(errors):
         code, out, err = _exit(capsys, main, argv)
@@ -520,10 +524,17 @@ def test_cli_main_reads_sys_argv(monkeypatch, capsys):
     assert capsys.readouterr().out == "true\n"
 
 
-def test_parser_adds_only_the_named_commands_arguments():
-    # every command is registered, but the others have no arguments, no
-    # subcommands and no defaults: each parses alone to its name only
-    parser = build_parser("betti")
+def _registered(parser):
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    return set(sub.choices)
+
+
+def test_parser_registers_only_the_named_command():
+    # the usage line still names every command, as the whole tree's does
+    whole = build_parser()
     for command in COMMANDS:
-        if command != "betti":
-            assert vars(parser.parse_args([command])) == {"command": command}
+        parser = build_parser(command)
+        assert _registered(parser) == {command}
+        assert parser.format_usage() == whole.format_usage()
+    for command in (None, "bogus", "--json"):
+        assert _registered(build_parser(command)) == set(COMMANDS)
